@@ -28,7 +28,7 @@ rng = stream(42)
 
 # --- self-adjoint pairs: all three routes agree ------------------------------
 
-print("self-adjoint pairs: delta (sorted) vs d_U (descent) vs W_inf (transport)")
+print("self-adjoint pairs: delta (sorted) vs d_U (aligned eigenbases) vs W_inf (transport)")
 for n in (2, 4, 6):
     a, b = random_hermitian(n, rng), random_hermitian(n, rng)
     ev_a, ev_b = np.linalg.eigvalsh(a.array), np.linalg.eigvalsh(b.array)

@@ -221,7 +221,6 @@ class LscStep:
             return self.left_value
         if x == 1:
             return self.right_value
-        lo = 0
         for i, b in enumerate(self.breakpoints):
             if x == b:
                 return self.breakpoint_values[i]
@@ -237,43 +236,27 @@ class LscStep:
 
 
 def _zip_regions(f: LscStep, g: LscStep):
-    """Yield (kind, f_value, g_value) over the common refinement of [0, 1].
-
-    kind is "point" for 0, 1 and every breakpoint of either function, and
-    "interval" for the open gaps in between; midpoint evaluation is exact
-    because gaps contain no breakpoints.
+    """Yield (f_value, g_value) over the common refinement of [0, 1]: the
+    point 0, then each open gap followed by the breakpoint closing it (any
+    breakpoint of either function), then the last gap and the point 1.
+    Midpoint evaluation is exact because gaps contain no breakpoints.
     """
     cuts = sorted(set(f.breakpoints) | set(g.breakpoints))
-    yield "point", f.left_value, g.left_value
+    yield f.left_value, g.left_value
     prev = Fraction(0)
     for c in cuts + [Fraction(1)]:
         mid = (prev + c) / 2
-        yield "interval", f.value_at(mid), g.value_at(mid)
+        yield f.value_at(mid), g.value_at(mid)
         if c != 1:
-            yield "point", f.value_at(c), g.value_at(c)
+            yield f.value_at(c), g.value_at(c)
         prev = c
-    yield "point", f.right_value, g.right_value
-
-
-def _build_from_regions(cuts: Sequence[Fraction], left: ExtNat, right: ExtNat,
-                        intervals: Sequence[ExtNat], points: Sequence[ExtNat]) -> LscStep:
-    return LscStep(tuple(cuts), tuple(intervals), tuple(points), left, right)
+    yield f.right_value, g.right_value
 
 
 def _pointwise(f: LscStep, g: LscStep, op) -> LscStep:
     cuts = sorted(set(f.breakpoints) | set(g.breakpoints))
-    intervals: list[ExtNat] = []
-    points: list[ExtNat] = []
-    prev = Fraction(0)
-    for c in cuts + [Fraction(1)]:
-        mid = (prev + c) / 2
-        intervals.append(op(f.value_at(mid), g.value_at(mid)))
-        if c != 1:
-            points.append(op(f.value_at(c), g.value_at(c)))
-        prev = c
-    left = op(f.left_value, g.left_value)
-    right = op(f.right_value, g.right_value)
-    return _build_from_regions(cuts, left, right, intervals, points)
+    vals = [op(fv, gv) for fv, gv in _zip_regions(f, g)]
+    return LscStep(tuple(cuts), tuple(vals[1:-1:2]), tuple(vals[2:-1:2]), vals[0], vals[-1])
 
 
 def lsc_add(f: LscStep, g: LscStep) -> LscStep:
@@ -287,7 +270,7 @@ def lsc_max(f: LscStep, g: LscStep) -> LscStep:
 
 def lsc_leq(f: LscStep, g: LscStep) -> bool:
     """Pointwise order: f <= g at every interval, breakpoint and endpoint."""
-    return all(fv <= gv for _, fv, gv in _zip_regions(f, g))
+    return all(fv <= gv for fv, gv in _zip_regions(f, g))
 
 
 def lsc_sup_chain(chain: Sequence[LscStep]) -> LscStep:

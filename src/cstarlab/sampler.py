@@ -236,14 +236,17 @@ def sample_algebra(params: WalkParams, scheme: MeasureScheme, horizon: int,
 
 
 def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z95) -> tuple[float, float]:
-    """Wilson score interval; stable at proportions near 0 and 1."""
+    """Wilson score interval; stable at proportions near 0 and 1, and
+    exactly 0 (resp. 1) at the end reached by 0 (resp. `trials`) successes."""
     if trials < 1:
         raise InvalidParamsError("trials must be >= 1")
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
-    return (max(0.0, center - half), min(1.0, center + half))
+    low = 0.0 if successes == 0 else max(0.0, center - half)
+    high = 1.0 if successes == trials else min(1.0, center + half)
+    return (low, high)
 
 
 @dataclass(frozen=True)

@@ -4,20 +4,20 @@ Three routes to the same circle of quantities:
 
 * `matching_distance` -- the bottleneck matching value between two
   eigenvalue multisets, computed exactly by threshold binary search over
-  the pairwise distances with perfect-matching feasibility tests
-  (`bottleneck_brute_force` is the small-n oracle kept for verification);
-* `unitary_distance` -- a certified upper bound on inf_u ||a - u b u*||
-  from multi-start descent over the unitary group in the skew-Hermitian
-  parametrisation, reported with the achieved unitary; for Hermitian pairs
-  the matching distance of the spectra is checked as a lower bound;
+  the pairwise distances, each threshold tested for a perfect matching by
+  maximum flow (`bottleneck_brute_force` is the small-n oracle kept for
+  verification);
+* `unitary_distance` -- the orbit distance inf_u ||a - u b u*|| with a
+  unitary attaining it: in closed form for Hermitian (Weyl) and unitary
+  (Bhatia-Davis) pairs, where it equals the matching distance of the
+  spectra, and as an upper bound from multi-start descent otherwise;
 * `wasserstein_inf` -- the bottleneck transport distance between discrete
   measures with rational weights, computed exactly by expanding to a
   common denominator and matching equal-weight atoms.
 
-For self-adjoint pairs the first two agree (the eigenvalues sorted
-increasingly attain the matching), and the third reduces to the first on
-spectral counting measures; for general normal pairs the package only
-records the values, asserting no equality.
+For Hermitian and unitary pairs the first two agree, and the third reduces
+to the first on spectral counting measures; for general normal pairs the
+package only records the values, asserting no equality.
 """
 
 from __future__ import annotations
@@ -38,6 +38,10 @@ HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-12
 NORMALITY_TOL = 1e-10
 ATOM_MERGE_TOL = 1e-9
+# descent: starts, iteration cap, stagnant iterations before a start freezes
+N_STARTS = 20
+MAX_ITER = 120
+PATIENCE = 6
 
 
 class SizeMismatchError(ValueError):
@@ -75,75 +79,66 @@ def _as_values(x) -> np.ndarray:
 
 
 def operator_norm(m: np.ndarray) -> float:
-    """Largest singular value; full decomposition at desk scale (n <= 64),
-    power iteration with a final decomposition polish above that."""
+    """Largest singular value, from the singular-value decomposition."""
     m = np.asarray(m, dtype=complex)
     if min(m.shape) == 0:
         return 0.0
-    if max(m.shape) <= 64:
-        return float(np.linalg.svd(m, compute_uv=False)[0])
-    v = np.ones(m.shape[1], dtype=complex) / np.sqrt(m.shape[1])
-    h = m.conj().T @ m
-    for _ in range(200):
-        w = h @ v
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        w /= nw
-        if np.linalg.norm(w - v) < 1e-13:
-            v = w
-            break
-        v = w
-    return float(np.sqrt(np.real(np.vdot(v, h @ v))))
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 # ---------------------------------------------------------------------------
 # bottleneck matching
 # ---------------------------------------------------------------------------
 
-def _has_perfect_matching(adj: np.ndarray) -> bool:
-    """Kuhn's augmenting-path matching on a boolean bipartite adjacency."""
+def _perfect_matching(adj: np.ndarray) -> np.ndarray | None:
+    """Row i matched to column perm[i] in a square boolean adjacency, or None.
+
+    Dinic's maximum flow (source -> rows -> columns -> sink) is O(E sqrt(V))
+    on every input, unlike scipy's `maximum_bipartite_matching`, which takes
+    tens of seconds on some threshold graphs of expanded equal-weight atoms."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow
+
     n = adj.shape[0]
-    match_r = [-1] * n
-    rows = [np.flatnonzero(adj[u]) for u in range(n)]
-
-    def augment(u: int, seen: list[bool]) -> bool:
-        for v in rows[u]:
-            if not seen[v]:
-                seen[v] = True
-                if match_r[v] == -1 or augment(match_r[v], seen):
-                    match_r[v] = u
-                    return True
-        return False
-
-    for u in range(n):
-        if not augment(u, [False] * n):
-            return False
-    return True
+    rows, cols = np.nonzero(adj)
+    tail = np.concatenate([np.zeros(n, dtype=np.intp), rows + 1, np.arange(n + 1, 2 * n + 1)])
+    head = np.concatenate([np.arange(1, n + 1), cols + n + 1, np.full(n, 2 * n + 1)])
+    network = csr_matrix((np.ones(tail.size, dtype=np.int32), (tail, head)),
+                         shape=(2 * n + 2, 2 * n + 2))
+    result = maximum_flow(network, 0, 2 * n + 1, method="dinic")
+    if result.flow_value < n:
+        return None
+    rows, cols = (result.flow[1:n + 1, n + 1:2 * n + 1] > 0).nonzero()
+    return cols[np.argsort(rows)]
 
 
-def _bottleneck_from_matrix(dist: np.ndarray) -> float:
-    """Smallest r such that {(i, j): dist_ij <= r} has a perfect matching."""
-    n = dist.shape[0]
-    if n == 0:
-        return 0.0
+def _bottleneck_from_matrix(dist: np.ndarray) -> tuple[float, np.ndarray]:
+    """Smallest r such that {(i, j): dist_ij <= r} has a perfect matching,
+    with one such matching as perm (row i matched to column perm[i])."""
     values = np.unique(dist)
-    lo, hi = 0, len(values) - 1
-    if _has_perfect_matching(dist <= values[lo]):
-        return float(values[lo])
+    # the threshold values[-1] admits every pair, so the identity matches
+    lo, hi, best = -1, len(values) - 1, np.arange(dist.shape[0])
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _has_perfect_matching(dist <= values[mid]):
-            hi = mid
-        else:
+        perm = _perfect_matching(dist <= values[mid])
+        if perm is None:
             lo = mid
-    return float(values[hi])
+        else:
+            hi, best = mid, perm
+    return float(values[hi]), best
 
 
 def _distance_matrix(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
     """The one pairwise-distance computation every bottleneck route shares,
     so that values from different routes are bitwise comparable."""
     return np.abs(av[:, None] - bv[None, :])
+
+
+def _value_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    av, bv = _as_values(a), _as_values(b)
+    if av.size != bv.size:
+        raise SizeMismatchError(f"multiset sizes differ: {av.size} vs {bv.size}")
+    return av, bv
 
 
 def matching_distance(a, b) -> float:
@@ -153,10 +148,7 @@ def matching_distance(a, b) -> float:
     distances |a_i - b_j|, selected by threshold binary search with
     matching feasibility tests.
     """
-    av, bv = _as_values(a), _as_values(b)
-    if av.size != bv.size:
-        raise SizeMismatchError(f"multiset sizes differ: {av.size} vs {bv.size}")
-    return _bottleneck_from_matrix(_distance_matrix(av, bv))
+    return _bottleneck_from_matrix(_distance_matrix(*_value_pair(a, b)))[0]
 
 
 @lru_cache(maxsize=None)
@@ -166,9 +158,7 @@ def _all_perms(n: int) -> np.ndarray:
 
 def bottleneck_brute_force(a, b) -> float:
     """Oracle: minimise the max pairwise distance over all n! permutations."""
-    av, bv = _as_values(a), _as_values(b)
-    if av.size != bv.size:
-        raise SizeMismatchError(f"multiset sizes differ: {av.size} vs {bv.size}")
+    av, bv = _value_pair(a, b)
     n = av.size
     if n > 8:
         raise ValueError("brute force is reserved for n <= 8")
@@ -180,9 +170,7 @@ def bottleneck_brute_force(a, b) -> float:
 
 def sorted_matching_value(a, b) -> float:
     """Matching value of the increasing rearrangements (real multisets)."""
-    av, bv = _as_values(a), _as_values(b)
-    if av.size != bv.size:
-        raise SizeMismatchError(f"multiset sizes differ: {av.size} vs {bv.size}")
+    av, bv = _value_pair(a, b)
     if np.abs(av.imag).max() > 0 or np.abs(bv.imag).max() > 0:
         raise ValueError("sorted matching is defined for real multisets")
     return float(np.max(np.abs(np.sort(av.real) - np.sort(bv.real))))
@@ -267,16 +255,18 @@ def random_normal(n: int, rng: np.random.Generator) -> NormalMatrix:
 
 @dataclass(frozen=True)
 class UnitaryDistanceResult:
-    """Outcome of the orbit-distance minimisation (an upper bound certificate)."""
+    """Outcome of `unitary_distance`: the value and a unitary attaining it.
+    `certificate_gap` is set in closed form, `grad_norm` after descent."""
 
     value: float
     unitary: np.ndarray
-    grad_norm: float
+    grad_norm: float | None
     converged: bool
     start_index: int
     n_starts: int
     iterations: int
     hermitian_lower_bound: float | None = None
+    certificate_gap: float | None = None
 
     def __float__(self) -> float:
         return self.value
@@ -316,8 +306,7 @@ def _orbit_gradients(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> tuple[np.nd
     return sigma[:, 0], grad
 
 
-def _starting_unitaries(a: NormalMatrix, b: NormalMatrix, n_starts: int,
-                        seed: int) -> np.ndarray:
+def _starting_unitaries(a: NormalMatrix, b: NormalMatrix, seed: int) -> np.ndarray:
     """Deterministic multi-start battery: identity, permutation matrices,
     spectral alignments, and Haar-random unitaries to fill the quota."""
     n = a.n
@@ -349,36 +338,67 @@ def _starting_unitaries(a: NormalMatrix, b: NormalMatrix, n_starts: int,
         starts.append(va @ p @ vb_h)
 
     rng = stream(seed, 2)
-    while len(starts) < n_starts:
+    while len(starts) < N_STARTS:
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         q, r = np.linalg.qr(g)
         starts.append(q * (np.diag(r) / np.abs(np.diag(r))))
     return np.stack(starts)
 
 
-def unitary_distance(a, b, tol: float = 1e-8, *, n_starts: int = 20,
-                     max_iter: int = 120, patience: int = 6,
-                     seed: int = 0) -> UnitaryDistanceResult:
-    """Certified upper bound on the unitary orbit distance inf ||a - u b u*||.
+def unitary_distance(a, b, tol: float = 1e-8, *, seed: int = 0) -> UnitaryDistanceResult:
+    """The unitary orbit distance inf ||a - u b u*||, with a unitary attaining it.
 
-    Multi-start descent over the unitary group: each start follows the
-    negative gradient in the skew-Hermitian parametrisation with Armijo
-    backtracking until the gradient norm falls below `tol`.  Starts that
-    stop making progress (the operator norm is only subdifferentiable at
-    singular-value ties) are frozen after `patience` stagnant iterations
-    and simply keep their best value.  The best value across starts is
-    reported with its unitary; `converged` records whether that start met
-    the gradient tolerance.  For Hermitian inputs the matching distance of
-    the spectra is a lower bound and is checked against the result.
+    Hermitian pairs (Weyl) and unitary pairs (Bhatia-Davis) have orbit
+    distance equal to the matching distance delta of their spectra, attained
+    by aligning the eigenbases (`eigh`, resp. complex Schur) along an optimal
+    matching.  `certificate_gap` is value - delta, and `converged` certifies
+    that gap <= `tol`; a value below delta beyond rounding raises.
+
+    All other pairs, such as general normal ones whose orbit distance can
+    drop below delta, run multi-start descent over the unitary group: each
+    start follows the negative gradient in the skew-Hermitian
+    parametrisation with Armijo backtracking until the gradient norm falls
+    below `tol`.  Starts that stop making progress (the operator norm is
+    only subdifferentiable at singular-value ties) are frozen after
+    `PATIENCE` stagnant iterations and simply keep their best value.  The
+    best value across starts is an upper bound reported with its unitary;
+    `converged` records whether that start met the gradient tolerance.
+    `seed` draws the random starts.
     """
     na, nb = _as_normal(a), _as_normal(b)
     if na.n != nb.n:
         raise SizeMismatchError(f"matrix sizes differ: {na.n} vs {nb.n}")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    amat, bmat = na.array, nb.array
+    hermitian = na.is_hermitian and nb.is_hermitian
+    if hermitian:
+        (la, va), (lb, vb) = np.linalg.eigh(na.array), np.linalg.eigh(nb.array)
+    elif na.is_unitary and nb.is_unitary:
+        (la, va), (lb, vb) = na.eigenbasis(), nb.eigenbasis()
+    else:
+        return _descend(na, nb, tol, seed)
+    delta, perm = _bottleneck_from_matrix(_distance_matrix(la, lb))
+    u = va @ vb[:, perm].conj().T
+    value = operator_norm(na.array - u @ nb.array @ u.conj().T)
+    if value < delta - 1e-7:
+        raise RuntimeError(f"numerical fault: orbit value {value} fell below the "
+                           f"spectral matching lower bound {delta}")
+    return UnitaryDistanceResult(
+        value=value,
+        unitary=u,
+        grad_norm=None,
+        converged=value - delta <= tol,
+        start_index=0, n_starts=1, iterations=0,
+        hermitian_lower_bound=delta if hermitian else None,
+        certificate_gap=value - delta,
+    )
 
-    u = _starting_unitaries(na, nb, n_starts, seed)
+
+def _descend(na: NormalMatrix, nb: NormalMatrix, tol: float,
+             seed: int) -> UnitaryDistanceResult:
+    """Multi-start descent for the pairs `unitary_distance` has no closed form for."""
+    amat, bmat = na.array, nb.array
+    u = _starting_unitaries(na, nb, seed)
     s = u.shape[0]
     # a value of (numerically) zero certifies a global minimum outright; the
     # svd-based gradient is meaningless on the zero matrix
@@ -395,7 +415,7 @@ def unitary_distance(a, b, tol: float = 1e-8, *, n_starts: int = 20,
     stagnant = np.zeros(s, dtype=int)
     iterations = 0
 
-    while not frozen.all() and iterations < max_iter:
+    while not frozen.all() and iterations < MAX_ITER:
         iterations += 1
         active = np.flatnonzero(~frozen)
         g = grads[active]
@@ -427,7 +447,7 @@ def unitary_distance(a, b, tol: float = 1e-8, *, n_starts: int = 20,
         grads[active] = grads_a
         grad_norms[active] = _norms(grads_a, vals_a)
         frozen[active] = ((grad_norms[active] < tol) | (step[active] < 1e-14)
-                          | (stagnant[active] >= patience))
+                          | (stagnant[active] >= PATIENCE))
         converged_vals = values[frozen & (grad_norms < tol)]
         if converged_vals.size:
             # starts parked at a value some start already certified are duplicates
@@ -440,13 +460,6 @@ def unitary_distance(a, b, tol: float = 1e-8, *, n_starts: int = 20,
     near = np.flatnonzero(values <= vmin + max(1e-12, 1e-9 * abs(vmin)))
     near_converged = near[grad_norms[near] < tol]
     best = int(near_converged[0]) if near_converged.size else int(near[0])
-    lower: float | None = None
-    if na.is_hermitian and nb.is_hermitian:
-        lower = matching_distance(np.linalg.eigvalsh(amat), np.linalg.eigvalsh(bmat))
-        if values[best] < lower - 1e-7:
-            raise RuntimeError(
-                f"orbit value {values[best]} fell below the Hermitian matching "
-                f"lower bound {lower}; this indicates a numerical fault")
     return UnitaryDistanceResult(
         value=float(values[best]),
         unitary=u[best],
@@ -455,7 +468,6 @@ def unitary_distance(a, b, tol: float = 1e-8, *, n_starts: int = 20,
         start_index=best,
         n_starts=s,
         iterations=iterations,
-        hermitian_lower_bound=lower,
     )
 
 
@@ -533,7 +545,7 @@ def wasserstein_inf(mu: DiscreteMeasure, nu: DiscreteMeasure,
                                 np.asarray(right, dtype=complex))
     else:
         dist = np.array([[float(metric(x, y)) for y in right] for x in left])
-    return _bottleneck_from_matrix(dist)
+    return _bottleneck_from_matrix(dist)[0]
 
 
 def spectral_measure(a) -> DiscreteMeasure:

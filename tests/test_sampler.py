@@ -168,6 +168,8 @@ class TestWilson:
         assert lo == pytest.approx(0.0, abs=1e-15) and 0 < hi < 0.12
         lo, hi = wilson_interval(50, 50)
         assert hi == 1.0 and 0.9 < lo < 1.0
+        assert wilson_interval(0, 2000)[0] == 0.0
+        assert wilson_interval(2000, 2000)[1] == 1.0
 
     def test_contains_proportion(self):
         lo, hi = wilson_interval(30, 100)

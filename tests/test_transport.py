@@ -96,8 +96,9 @@ class TestNormalMatrix:
 
     def test_operator_norm_is_top_singular_value(self):
         rng = stream(8)
-        g = rng.standard_normal((5, 5))
-        assert operator_norm(g) == pytest.approx(np.linalg.svd(g, compute_uv=False)[0])
+        for shape in ((5, 5), (80, 70)):
+            g = rng.standard_normal(shape)
+            assert operator_norm(g) == pytest.approx(np.linalg.svd(g, compute_uv=False)[0])
 
 
 class TestUnitaryDistance:
@@ -126,6 +127,17 @@ class TestUnitaryDistance:
                 assert abs(res.value - delta) <= 1e-6
                 assert res.value >= res.hermitian_lower_bound - 1e-7
 
+    def test_unitary_pairs_certified_in_closed_form(self):
+        rng = stream(5)
+        for n in (2, 5, 6, 8):
+            for _ in range(5):
+                a, b = random_unitary(n, rng), random_unitary(n, rng)
+                res = unitary_distance(a, b, 1e-8)
+                delta = matching_distance(a.spectrum(), b.spectrum())
+                assert res.converged and res.iterations == 0
+                assert res.certificate_gap == res.value - delta
+                assert abs(res.certificate_gap) <= 1e-12
+
     def test_certificate_unitary(self):
         rng = stream(3)
         a, b = random_hermitian(4, rng), random_hermitian(4, rng)
@@ -145,6 +157,7 @@ class TestUnitaryDistance:
             res = unitary_distance(a, b)
             delta = matching_distance(a.spectrum(), b.spectrum())
             assert res.value <= delta + 1e-8
+            assert res.certificate_gap is None and res.grad_norm is not None
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatchError):
@@ -190,6 +203,14 @@ class TestDiscreteMeasure:
         nu = DiscreteMeasure((0.25, 0.75), (Fraction(1, 2), Fraction(1, 2)))
         # one third of the mass at 1 must travel to 0.25
         assert wasserstein_inf(mu, nu) == 0.75
+
+    def test_large_expansion_equals_sorted_matching(self):
+        # 41 and 31 equal weights expand to 1271 atoms on each side
+        rng = stream(45)
+        x, y = rng.standard_normal(41), rng.standard_normal(31)
+        mu, nu = DiscreteMeasure.equal_weights(tuple(x)), DiscreteMeasure.equal_weights(tuple(y))
+        expected = sorted_matching_value(np.repeat(x, 31), np.repeat(y, 41))
+        assert wasserstein_inf(mu, nu) == expected
 
     def test_incompatible_spaces(self):
         mu = DiscreteMeasure.point(0.0, space="interval")
