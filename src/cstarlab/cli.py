@@ -174,7 +174,10 @@ def _cmd_walk(args) -> int:
     hits = 0
     for t in range(trials):
         traj = sample_trajectory(params, length, seed, trial=t)
-        hit_step = next((n for n, s in enumerate(traj.states) if n >= 1 and s == 0), None)
+        try:
+            hit_step = traj.states.index(0, 1)
+        except ValueError:
+            hit_step = None
         hits += hit_step is not None
         rec = {"trial": t, "start": traj.states[0], "hit_zero_step": hit_step,
                "max_state": traj.max_state, "final_state": traj.states[-1]}
@@ -240,9 +243,11 @@ def _cmd_simplex(args) -> int:
     if len(states) < 2:
         raise ConfigError("trajectory too short to build a tower (absorbed immediately)")
     tower = build_tower(list(states), scheme, mix64(seed, 1))
-    record = {"tower": json.loads(tower.to_json())}
     resolved = {**cfg, "initial": [[s, w] for s, w in params.initial], "q": params.q}
-    _atomic_write(cfg["output"], _render_jsonl(resolved, [record]))
+    # to_json is already sorted-key JSON, so splicing it gives the bytes of
+    # json.dumps({"tower": ...}, sort_keys=True) without a decode and re-encode
+    text = _render_jsonl(resolved, []) + '{"tower": ' + tower.to_json() + "}\n"
+    _atomic_write(cfg["output"], text)
     return 0
 
 

@@ -30,7 +30,6 @@ from math import lcm
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .rng import stream
 
@@ -220,12 +219,16 @@ class NormalMatrix:
 
     def spectrum(self) -> np.ndarray:
         """Eigenvalues via a complex Schur form (unitary change of basis)."""
-        t, _ = scipy.linalg.schur(self.array, output="complex")
+        from scipy.linalg import schur
+
+        t, _ = schur(self.array, output="complex")
         return np.diag(t).copy()
 
     def eigenbasis(self) -> tuple[np.ndarray, np.ndarray]:
         """(eigenvalues, unitary) sorted by (real, imag) ascending."""
-        t, z = scipy.linalg.schur(self.array, output="complex")
+        from scipy.linalg import schur
+
+        t, z = schur(self.array, output="complex")
         eig = np.diag(t)
         order = np.lexsort((eig.imag, eig.real))
         return eig[order], z[:, order]

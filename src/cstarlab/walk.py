@@ -7,11 +7,15 @@ same in both modes.  The walk is recurrent when p <= q and transient when
 p > q.
 
 Uniform-consumption contract (fixed so that batched and per-trajectory
-simulation agree bitwise): a trajectory with L states consumes exactly L
-uniforms from its stream -- u[0] selects the initial state by inverse CDF
-over the finite support of the initial distribution, and u[k] drives step
-k, with "up" exactly when u[k] < p.  Forced moves at the barrier still
-consume their uniform.
+simulation agree bitwise): trial t draws from the stream keyed by
+(seed, t), and a trajectory with L states consumes exactly L uniforms --
+u[0] selects the initial state by inverse CDF over the finite support of
+the initial distribution, and u[k] drives step k, with "up" exactly when
+u[k] < p.  Forced moves at the barrier still consume their uniform.  The
+batch helpers (`batch_hits_zero`, `batch_sup`) read a prefix of each
+trial's stream under the same rule and stop drawing once that trial's
+event is decided, so their results equal the events of the matching
+`sample_trajectory` runs.
 
 First-step-analysis oracles (`hit_zero_probability`, `sup_distribution`)
 solve the associated tridiagonal linear systems; truncation policy for the
@@ -27,7 +31,6 @@ from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .rng import stream
 
@@ -108,7 +111,7 @@ class Trajectory:
     def __post_init__(self):
         if not self.states:
             raise InvalidParamsError("a trajectory needs at least one state")
-        if any(s < 0 for s in self.states):
+        if min(self.states) < 0:
             raise InvalidParamsError("states must be nonnegative")
 
     def __len__(self) -> int:
@@ -135,13 +138,17 @@ def check_trajectory(traj: Trajectory, barrier: Barrier) -> None:
             raise InvalidParamsError(f"interior steps must move by one, got {a} -> {b}")
 
 
-def _initial_state(params: WalkParams, u: float) -> int:
-    acc = 0.0
-    for state, weight in params.initial:
-        acc += weight
-        if u < acc:
-            return state
-    return params.initial[-1][0]
+#: first-exit windows: the first is _FIRST_WINDOW steps wide, each next one
+#: twice as wide up to _MAX_WINDOW, which bounds a window block's memory
+_FIRST_WINDOW = 64
+_MAX_WINDOW = 512
+
+
+def _initial_states(params: WalkParams, uniforms: np.ndarray) -> np.ndarray:
+    """Initial states by inverse CDF over the support: one per uniform."""
+    support = np.array([s for s, _ in params.initial], dtype=np.int64)
+    cdf = np.cumsum([w for _, w in params.initial])
+    return support[np.minimum(np.searchsorted(cdf, uniforms, side="right"), len(support) - 1)]
 
 
 def sample_trajectory(params: WalkParams, length: int, seed: int, *,
@@ -151,117 +158,114 @@ def sample_trajectory(params: WalkParams, length: int, seed: int, *,
     `trial` selects the per-trial stream keyed by (seed, trial); batch
     helpers use the same keying, so trial t of a batch reproduces
     `sample_trajectory(..., trial=t)` exactly.
+
+    The path is computed in closed form from the free +-1 walk S (S_0 the
+    start): the reflecting walk is S + 2 ceil(R / 2), with R the running
+    maximum of max(-S, 0), and the absorbing walk is S frozen at its first 0.
     """
     if not isinstance(length, int) or length < 1:
         raise InvalidParamsError(f"length must be an integer >= 1, got {length!r}")
     uniforms = stream(seed, trial).random(length)
-    states = _states_from_uniforms(params, uniforms)
-    return Trajectory(tuple(states))
+    steps = np.where(uniforms < params.p, 1, -1)
+    steps[0] = _initial_states(params, uniforms[:1])[0]
+    free = np.cumsum(steps)
+    if params.barrier is Barrier.REFLECTING:
+        below = np.maximum.accumulate(np.maximum(-free, 0))
+        states = free + 2 * ((below + 1) // 2)
+    else:
+        states = free
+        zero = states == 0
+        if zero.any():
+            states[zero.argmax():] = 0
+    return Trajectory(tuple(states.tolist()))
 
 
-def _states_from_uniforms(params: WalkParams, uniforms: np.ndarray) -> list[int]:
-    """Reference simulator: one state per uniform, u[0] picks the start."""
-    state = _initial_state(params, float(uniforms[0]))
-    states = [state]
-    reflecting = params.barrier is Barrier.REFLECTING
-    p = params.p
-    for u in uniforms[1:]:
-        if state == 0:
-            state = 1 if reflecting else 0
-        elif u < p:
-            state += 1
-        else:
-            state -= 1
-        states.append(state)
-    return states
+def _first_exit(gens: list[np.random.Generator], pos: np.ndarray, top: np.ndarray,
+                budget: np.ndarray, p: float, cap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Step free +-1 walks until each reaches 0, passes `cap` or spends its budget.
 
-
-def _hits_zero_from_uniforms(params: WalkParams, uniforms: np.ndarray) -> bool:
-    """Whether the walk visits 0 at some step in [1, len(uniforms) - 1].
-
-    Before its first visit to 0 the walk is free, so the event only needs
-    the running minimum of the +-1 partial sums; this matches the stepwise
-    simulator exactly (same uniforms, same decisions).
+    Row i starts at pos[i] with running maximum top[i] and steps up exactly
+    when the next uniform of gens[i] is below p.  Rows step in windows of
+    _FIRST_WINDOW columns doubling to _MAX_WINDOW, and only rows still
+    undecided draw the next window, so a row reads its stream at most one
+    window past its stop.  Returns (positions, maxima) at each row's stop.
     """
-    start = _initial_state(params, float(uniforms[0]))
-    steps = np.where(uniforms[1:] < params.p, 1, -1)
-    if start == 0:
-        if params.barrier is Barrier.ABSORBING:
-            return steps.size > 0
-        if steps.size <= 1:
-            return False
-        # forced 0 -> 1 consumes the first step uniform
-        return bool(np.min(np.cumsum(steps[1:])) <= -1)
-    if steps.size == 0:
-        return False
-    return bool(np.min(np.cumsum(steps)) <= -start)
+    pos, top, budget = pos.copy(), top.copy(), budget.copy()
+    live = np.flatnonzero((pos != 0) & (top <= cap) & (budget > 0))
+    width = _FIRST_WINDOW
+    while live.size:
+        take = np.minimum(budget[live], width)
+        cols = int(take.max())
+        block = np.zeros((live.size, cols))
+        for row, (i, n) in enumerate(zip(live.tolist(), take.tolist())):
+            gens[i].random(out=block[row, :n])
+        # the walk after j + 1 steps is 2 * (ups among them) - (j + 1)
+        walk = np.cumsum(block < p, axis=1, dtype=np.int32)
+        del block
+        walk *= 2
+        walk -= np.arange(1, cols + 1, dtype=np.int32)
+        start = pos[live]
+        out = walk <= -np.minimum(start, cols + 1).astype(np.int32)[:, None]
+        out |= walk > np.minimum(cap - start, cols).astype(np.int32)[:, None]
+        out &= np.arange(cols) < take[:, None]  # columns past a row's budget were not drawn
+        stopped = out.any(axis=1)
+        stop = np.where(stopped, out.argmax(axis=1), take - 1)
+        rows = np.arange(live.size)
+        pos[live] = start + walk[rows, stop]
+        np.maximum.accumulate(walk, axis=1, out=walk)
+        top[live] = np.maximum(top[live], start + walk[rows, stop])
+        budget[live] -= stop + 1
+        live = live[~stopped & (budget[live] > 0)]
+        width = min(2 * width, _MAX_WINDOW)
+        del walk, out  # before the next window's block is allocated
+    return pos, top
+
+
+def _open_trials(params: WalkParams, trials: int, seed: int) -> tuple[list, np.ndarray]:
+    """Each trial's stream, opened once, and its initial state from u[0]."""
+    gens = [stream(seed, t) for t in range(trials)]
+    return gens, _initial_states(params, np.array([g.random() for g in gens]))
 
 
 def batch_hits_zero(params: WalkParams, horizon: int, trials: int, seed: int) -> np.ndarray:
     """Per-trial indicator of visiting 0 within steps [1, horizon].
 
     Trial t draws from the stream keyed by (seed, t); the result is
-    independent of any batching or parallel schedule.
+    independent of any batching or parallel schedule.  Before its first
+    visit to 0 the walk is free, so each trial steps only until that visit.
     """
     if horizon < 1 or trials < 1:
         raise InvalidParamsError("horizon and trials must be >= 1")
-    out = np.empty(trials, dtype=bool)
-    for t in range(trials):
-        uniforms = stream(seed, t).random(horizon + 1)
-        out[t] = _hits_zero_from_uniforms(params, uniforms)
-    return out
+    gens, pos = _open_trials(params, trials, seed)
+    budget = np.full(trials, horizon, dtype=np.int64)
+    if params.barrier is Barrier.REFLECTING:
+        # the forced step 0 -> 1 still consumes its uniform
+        forced = np.flatnonzero(pos == 0)
+        for t in forced.tolist():
+            gens[t].random()
+        pos[forced] = 1
+        budget[forced] -= 1
+    pos, _ = _first_exit(gens, pos, pos, budget, params.p, np.inf)
+    return pos == 0
 
 
 def batch_sup(params: WalkParams, trials: int, seed: int, *, cap: int,
-              max_steps: int = 1 << 16, window: int = 512) -> tuple[np.ndarray, np.ndarray]:
+              max_steps: int = 1 << 16) -> tuple[np.ndarray, np.ndarray]:
     """Sample min(sup_n Y_n, cap + 1) for the absorbing walk, per trial.
 
     Each trial runs until absorption at 0 or until its running maximum
     exceeds `cap` (either resolves every event {sup <= k} for k <= cap).
-    Returns (sups, resolved); unresolved trials ran out of `max_steps`.
-    Trial streams and uniform consumption match `sample_trajectory`.
+    Returns (sups, resolved); unresolved trials ran out of `max_steps`
+    states.  Trial streams and uniform consumption match `sample_trajectory`.
     """
     if params.barrier is not Barrier.ABSORBING:
         raise UnsupportedBarrierError("sup sampling is an absorbing-mode diagnostic")
     if cap < 0 or trials < 1:
         raise InvalidParamsError("cap must be >= 0 and trials >= 1")
-    sups = np.zeros(trials, dtype=np.int64)
-    states = np.zeros(trials, dtype=np.int64)
-    active = np.arange(trials)
-    drawn = 0
-
-    # initial states from u[0]
-    first = np.empty(trials)
-    for t in range(trials):
-        first[t] = stream(seed, t).random(1)[0]
-    support = np.array([s for s, _ in params.initial])
-    cdf = np.cumsum([w for _, w in params.initial])
-    states[:] = support[np.minimum(np.searchsorted(cdf, first, side="right"), len(support) - 1)]
-    sups[:] = states
-    drawn = 1
-    active = active[(states[active] != 0) & (sups[active] <= cap)]
-
-    while active.size and drawn < max_steps:
-        take = min(window, max_steps - drawn)
-        block = np.empty((active.size, take))
-        for row, t in enumerate(active):
-            block[row] = stream(seed, int(t)).random(drawn + take)[drawn:]
-        st = states[active].copy()
-        mx = sups[active].copy()
-        alive = np.ones(active.size, dtype=bool)
-        for col in range(take):
-            moving = alive
-            step = np.where(block[:, col] < params.p, 1, -1)
-            st[moving] += step[moving]
-            mx[moving] = np.maximum(mx[moving], st[moving])
-            alive = alive & (st != 0) & (mx <= cap)
-        states[active] = st
-        sups[active] = mx
-        active = active[alive]
-        drawn += take
-
-    resolved = (states == 0) | (sups > cap)
-    return np.minimum(sups, cap + 1), resolved
+    gens, start = _open_trials(params, trials, seed)
+    budget = np.full(trials, max_steps - 1, dtype=np.int64)
+    pos, top = _first_exit(gens, start, start, budget, params.p, cap)
+    return np.minimum(top, cap + 1), (pos == 0) | (top > cap)
 
 
 def classify_walk(params: WalkParams) -> WalkClass:
@@ -277,6 +281,8 @@ def _truncated_hit_zero(p: float, q: float, i: int, cutoff: int) -> float:
     First-step analysis: h_0 = 1, h_cutoff = 0 and
     h_j = p h_{j+1} + q h_{j-1} in between, solved as a tridiagonal system.
     """
+    from scipy.linalg import solve_banded
+
     if i <= 0:
         return 1.0
     if i >= cutoff:

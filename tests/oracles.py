@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: surjectivity
 is decided by enumerating lattice points or maximal minors rather than
-Smith forms, determinants come from Bareiss elimination, and step functions
-are compared on explicit rational grids.
+Smith forms, determinants come from Bareiss elimination, step functions
+are compared on explicit rational grids, and walks are stepped one state
+per uniform.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from math import gcd
 import numpy as np
 
 from cstarlab.intlinalg import IntMatrix, det_bareiss
+from cstarlab.walk import Barrier, WalkParams
 
 
 def surjective_box_search(m: IntMatrix, bound: int) -> bool:
@@ -70,3 +72,37 @@ def random_unimodular(rng: np.random.Generator, n: int, steps: int = 12) -> IntM
 def fraction_grid(k: int) -> list[Fraction]:
     """The rational grid {0, 1/k, ..., 1} used to compare step functions."""
     return [Fraction(i, k) for i in range(k + 1)]
+
+
+def walk_states(params: WalkParams, uniforms: np.ndarray):
+    """Stepwise reference walk, yielding one state per uniform: u[0] picks
+    the start (the first state whose cumulative weight exceeds it, else the
+    last), and a move at 0 is forced but still consumes its uniform."""
+    u = uniforms.tolist()
+    acc, state = 0.0, params.initial[-1][0]
+    for s, w in params.initial:
+        acc += w
+        if u[0] < acc:
+            state = s
+            break
+    yield state
+    reflecting = params.barrier is Barrier.REFLECTING
+    for x in u[1:]:
+        if state == 0:
+            state = 1 if reflecting else 0
+        elif x < params.p:
+            state += 1
+        else:
+            state -= 1
+        yield state
+
+
+def capped_sup(states, cap: int) -> tuple[int, bool]:
+    """(min(sup, cap + 1), resolved) of an absorbing run cut at its first
+    state that is 0 or above `cap`; unresolved if no state is."""
+    top = 0
+    for s in states:
+        top = max(top, s)
+        if s == 0 or top > cap:
+            return min(top, cap + 1), True
+    return min(top, cap + 1), False

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cstarlab
 from cstarlab.cli import run
-from cstarlab.simplex import SimplexTower
+from cstarlab.rng import mix64
+from cstarlab.simplex import MeasureScheme, SimplexTower, build_tower
+from cstarlab.walk import WalkParams, sample_trajectory
 
 
 def strip_header(path):
@@ -125,6 +131,16 @@ class TestReports:
         tower = SimplexTower.from_json(json.dumps(record["tower"]))
         assert len(tower.dims) == 31
 
+    @pytest.mark.parametrize("scheme", ["barycenter", "vertices", "faces"])
+    def test_simplex_tower_line_is_sorted_json(self, tmp_path, scheme):
+        out = str(tmp_path / "t.jsonl")
+        assert run(["simplex", "--p", "0.6", "--scheme", scheme, "--horizon", "80",
+                    "--seed", "5", "--output", out]) == 0
+        states = sample_trajectory(WalkParams.point(0.6), 81, 5).states
+        tower = build_tower(list(states), MeasureScheme(scheme), mix64(5, 1))
+        expected = json.dumps({"tower": json.loads(tower.to_json())}, sort_keys=True)
+        assert strip_header(out)[1] == expected + "\n"
+
     def test_ktheory_report_values(self, tmp_path):
         out = str(tmp_path / "k.jsonl")
         run(["ktheory", "--max-size", "4", "--output", out])
@@ -170,3 +186,14 @@ class TestSummary:
 
     def test_unreadable_exits_2(self, tmp_path):
         assert run(["summary", str(tmp_path / "missing.jsonl")]) == 2
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported where it is used, so starting the CLI does not pay for it
+    src = os.path.dirname(os.path.dirname(cstarlab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, cstarlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "[]"

@@ -1,6 +1,8 @@
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cstarlab.rng import stream
@@ -11,8 +13,7 @@ from cstarlab.walk import (
     UnsupportedBarrierError,
     WalkClass,
     WalkParams,
-    _hits_zero_from_uniforms,
-    _states_from_uniforms,
+    _first_exit,
     _truncated_hit_zero,
     batch_hits_zero,
     batch_sup,
@@ -22,6 +23,8 @@ from cstarlab.walk import (
     sample_trajectory,
     sup_distribution,
 )
+
+from oracles import capped_sup, walk_states
 
 
 class TestParams:
@@ -92,17 +95,41 @@ class TestSampleTrajectory:
 
 class TestBatchConsistency:
     def test_event_helper_matches_simulator(self):
-        for seed in range(40):
-            for p, start, barrier in [(0.5, 0, Barrier.REFLECTING),
-                                      (0.6, 1, Barrier.REFLECTING),
-                                      (0.3, 2, Barrier.REFLECTING),
-                                      (0.5, 1, Barrier.ABSORBING),
-                                      (0.7, 0, Barrier.ABSORBING)]:
-                params = WalkParams.point(p, barrier=barrier, start=start)
-                uniforms = stream(seed).random(60)
-                states = _states_from_uniforms(params, uniforms)
-                expected = any(s == 0 for s in states[1:])
-                assert _hits_zero_from_uniforms(params, uniforms) == expected
+        trials, seed = 6, 11
+        laws = [((0, 1.0),), ((1, 1.0),), ((3, 1.0),), ((0, 0.25), (2, 0.5), (5, 0.25))]
+        for p, initial in itertools.product((0.0, 0.3, 0.5, 0.6, 1.0), laws):
+            for barrier in Barrier:
+                params = WalkParams(p=p, barrier=barrier, initial=initial)
+                for horizon in (1, 2, 37, 300):
+                    runs = [list(walk_states(params, stream(seed, t).random(horizon + 1)))
+                            for t in range(trials)]
+                    for (t, states), length in itertools.product(enumerate(runs),
+                                                                 (horizon, horizon + 1)):
+                        traj = sample_trajectory(params, length, seed, trial=t)
+                        assert traj.states == tuple(states[:length])
+                    expected = [0 in states[1:] for states in runs]
+                    assert batch_hits_zero(params, horizon, trials, seed).tolist() == expected
+            params = WalkParams(p=p, barrier=Barrier.ABSORBING, initial=initial)
+            for max_steps, cap in itertools.product((1, 2, 40, 65536), (0, 4)):
+                expected = [capped_sup(walk_states(params, stream(seed, t).random(max_steps)), cap)
+                            for t in range(trials)]
+                sups, resolved = batch_sup(params, trials, seed, cap=cap, max_steps=max_steps)
+                assert list(zip(sups.tolist(), resolved.tolist())) == expected
+
+    def test_first_exit_stops_rows_at_their_own_budgets(self):
+        # budgets far apart within one window; a hit scan only ever mixes two that
+        # differ by the forced first step of trials starting at a reflecting 0
+        budgets = [1, 5, 63, 64, 65, 100, 700, 2000]
+        params = WalkParams.point(0.55, barrier=Barrier.ABSORBING, start=2)
+        gens = [stream(8, t) for t in range(len(budgets))]
+        for g in gens:
+            g.random()
+        start = np.full(len(budgets), 2)
+        pos, top = _first_exit(gens, start, start, np.array(budgets), params.p, 12)
+        for t, budget in enumerate(budgets):
+            states = list(walk_states(params, stream(8, t).random(budget + 1)))
+            stop = next((n for n, s in enumerate(states) if s == 0 or s > 12), budget)
+            assert (pos[t], top[t]) == (states[stop], max(states[:stop + 1]))
 
     def test_batch_matches_per_trial(self):
         params = WalkParams.point(0.45, start=1)
