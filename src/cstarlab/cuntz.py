@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .intlinalg import IntMatrix, smith_normal_form
+from .intlinalg import IntMatrix, cokernel
 
 
 class DimensionMismatchError(ValueError):
@@ -377,14 +377,11 @@ def dimension_drop_unit(p: int, q: int) -> CuNccwElement:
 def k1_trivial(m0: IntMatrix, m1: IntMatrix) -> bool:
     """Whether the pullback has trivial K1: M0 - M1 surjective over Z.
 
-    Surjectivity of an m x n integer matrix holds iff its Smith form has
-    full row rank with all invariant factors equal to 1.
+    An integer matrix is surjective iff its cokernel is trivial.
     """
     if (m0.rows, m0.cols) != (m1.rows, m1.cols):
         raise ShapeMismatchError("boundary matrices must have equal shapes")
-    diff = m0 - m1
-    snf = smith_normal_form(diff)
-    return snf.rank == diff.rows and all(d == 1 for d in snf.invariant_factors())
+    return cokernel(m0 - m1).is_zero
 
 
 LEBESGUE = "lebesgue"

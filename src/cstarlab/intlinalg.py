@@ -5,14 +5,20 @@ there is no overflow regardless of how large intermediate entries get.  The
 two consumers are the six-term exact-sequence solver (boundary/exponential
 maps between free K-groups) and the Cuntz-semigroup surjectivity criterion.
 
-Pivoting strategy: always move the smallest nonzero entry (in absolute
-value) of the working block into pivot position.  This keeps entry growth
-modest in practice at the desk scales we care about (dims <= 100).
+One elimination routine computes every Smith form.  Pivoting strategy:
+always move the smallest nonzero entry (in absolute value) of the working
+block into pivot position.  This keeps entry growth modest in practice at
+the desk scales we care about (dims <= 100).  Only `smith_normal_form`
+builds the unimodular transforms.  `rank`, `cokernel` and `kernel_rank`
+read the diagonal alone, which each `IntMatrix` computes at most once and
+keeps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -102,6 +108,13 @@ class IntMatrix:
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.entries) + "]"
 
+    @cached_property
+    def _smith_diagonal(self) -> tuple[int, ...]:
+        """Nonzero Smith-form diagonal (the invariant factors), computed once."""
+        a = self.to_lists()
+        _eliminate(a, self.rows, self.cols)
+        return tuple(a[i][i] for i in range(min(self.rows, self.cols)) if a[i][i])
+
 
 @dataclass(frozen=True)
 class FGAbelianGroup:
@@ -172,36 +185,18 @@ ZERO_GROUP = FGAbelianGroup.zero()
 def invariant_factors(orders: Sequence[int]) -> tuple[int, ...]:
     """Renormalise cyclic orders (each >= 2) into a divisibility chain.
 
-    Works prime-by-prime: the multiset of p-adic valuations is preserved,
-    largest valuations going to the last factor.
+    Pairwise, Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b): slot i takes the gcd of
+    itself and every later slot, which take the matching lcms, so slot i
+    ends up dividing all later ones.  No order is ever factored.
     """
     orders = [int(d) for d in orders if d != 1]
     if any(d < 1 for d in orders):
         raise ValueError("cyclic orders must be positive")
-    if not orders:
-        return ()
-    # collect prime powers
-    powers: dict[int, list[int]] = {}
-    for d in orders:
-        n = d
-        p = 2
-        while p * p <= n:
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                powers.setdefault(p, []).append(e)
-            p += 1
-        if n > 1:
-            powers.setdefault(n, []).append(1)
-    k = max(len(v) for v in powers.values())
-    factors = [1] * k
-    for p, exps in powers.items():
-        exps = sorted(exps, reverse=True)
-        for slot, e in enumerate(exps):
-            factors[k - 1 - slot] *= p ** e
-    return tuple(f for f in factors if f >= 2)
+    for i in range(len(orders)):
+        for j in range(i + 1, len(orders)):
+            g = math.gcd(orders[i], orders[j])
+            orders[i], orders[j] = g, orders[i] // g * orders[j]
+    return tuple(d for d in orders if d >= 2)
 
 
 @dataclass(frozen=True)
@@ -212,56 +207,20 @@ class SmithDecomposition:
     d: IntMatrix
     v: IntMatrix
 
-    @property
-    def rank(self) -> int:
-        return sum(1 for x in self.d.diagonal() if x != 0)
 
-    def invariant_factors(self) -> tuple[int, ...]:
-        return tuple(x for x in self.d.diagonal() if x != 0)
+def _eliminate(a: list[list[int]], rows: int, cols: int) -> None:
+    """Bring the top-left rows x cols block of `a` to Smith form, in place.
 
-
-def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
-    """Diagonalise m over Z by unimodular row and column operations.
-
-    Returns (U, D, V) with U*m*V = D exactly, |det U| = |det V| = 1 and the
-    nonzero diagonal of D a divisibility chain of positive integers.  Empty
-    matrices come back unchanged with identity transforms.
+    Pivots come from that block only, while row operations act on whole
+    rows of `a` and column operations on whole columns, so whatever sits to
+    the right of or below the block records the transforms.
     """
-    r, c = m.rows, m.cols
-    a = m.to_lists()
-    u = IntMatrix.identity(r).to_lists()
-    v = IntMatrix.identity(c).to_lists()
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, k):  # row_dst += k * row_src
-        a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, k):  # col_dst += k * col_src
-        for row in a:
-            row[dst] += k * row[src]
-        for row in v:
-            row[dst] += k * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
     t = 0
-    while t < min(r, c):
+    while t < min(rows, cols):
         # smallest nonzero entry of the remaining block becomes the pivot
         best = None
-        for i in range(t, r):
-            for j in range(t, c):
+        for i in range(t, rows):
+            for j in range(t, cols):
                 x = abs(a[i][j])
                 if x and (best is None or x < best[0]):
                     best = (x, i, j)
@@ -269,66 +228,77 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             break
         _, bi, bj = best
         if bi != t:
-            swap_rows(t, bi)
+            a[t], a[bi] = a[bi], a[t]
         if bj != t:
-            swap_cols(t, bj)
+            for row in a:
+                row[t], row[bj] = row[bj], row[t]
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
 
         while True:
-            # clear column t, restarting whenever a smaller remainder shows up
+            # clear column t and row t, restarting whenever a smaller
+            # remainder shows up
             reduced = True
             while reduced:
                 reduced = False
-                for i in range(t + 1, r):
+                for i in range(t + 1, rows):
                     if a[i][t]:
                         q, rem = divmod(a[i][t], a[t][t])
-                        add_row(i, t, -q)
-                        if rem:
-                            swap_rows(t, i)  # rem < pivot: shrink the pivot
+                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                        if rem:  # rem < pivot: shrink the pivot
+                            a[t], a[i] = a[i], a[t]
                             reduced = True
-                for j in range(t + 1, c):
+                for j in range(t + 1, cols):
                     if a[t][j]:
                         q, rem = divmod(a[t][j], a[t][t])
-                        add_col(j, t, -q)
+                        for row in a:
+                            row[j] -= q * row[t]
                         if rem:
-                            swap_cols(t, j)
+                            for row in a:
+                                row[t], row[j] = row[j], row[t]
                             reduced = True
             # pivot must divide the rest of the block for the chain property
             d = a[t][t]
-            offender = None
-            for i in range(t + 1, r):
-                for j in range(t + 1, c):
-                    if a[i][j] % d:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((i for i in range(t + 1, rows)
+                             if any(a[i][j] % d for j in range(t + 1, cols))), None)
             if offender is None:
                 break
-            add_row(t, offender, 1)
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
         t += 1
 
-    return SmithDecomposition(IntMatrix.from_rows(u, cols=r),
-                              IntMatrix.from_rows(a, cols=c),
-                              IntMatrix.from_rows(v, cols=c))
+
+def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
+    """Diagonalise m over Z by unimodular row and column operations.
+
+    Returns (U, D, V) with U*m*V = D exactly, |det U| = |det V| = 1 and the
+    nonzero diagonal of D a divisibility chain of positive integers.  Empty
+    matrices come back unchanged with identity transforms.  The elimination
+    runs on [[m, I], [I, 0]], so U and V come out of the same operations
+    that reduce m.
+    """
+    r, c = m.rows, m.cols
+    a = [row + [int(i == k) for k in range(r)] for i, row in enumerate(m.to_lists())]
+    a += [[int(i == j) for j in range(c)] + [0] * r for i in range(c)]
+    _eliminate(a, r, c)
+    return SmithDecomposition(IntMatrix.from_rows((row[c:] for row in a[:r]), cols=r),
+                              IntMatrix.from_rows((row[:c] for row in a[:r]), cols=c),
+                              IntMatrix.from_rows((row[:c] for row in a[r:]), cols=c))
 
 
 def rank(m: IntMatrix) -> int:
     """Rank of m over Q (equivalently the number of nonzero SNF entries)."""
-    return smith_normal_form(m).rank
+    return len(m._smith_diagonal)
 
 
 def cokernel(m: IntMatrix) -> FGAbelianGroup:
     """Cokernel of m viewed as a map Z^cols -> Z^rows."""
-    snf = smith_normal_form(m)
-    torsion = tuple(d for d in snf.invariant_factors() if d > 1)
-    return FGAbelianGroup(m.rows - snf.rank, torsion)
+    diag = m._smith_diagonal
+    return FGAbelianGroup(m.rows - len(diag), tuple(d for d in diag if d > 1))
 
 
 def kernel_rank(m: IntMatrix) -> int:
     """Rank of ker(m : Z^cols -> Z^rows); kernels of integer maps are free."""
-    return m.cols - smith_normal_form(m).rank
+    return m.cols - len(m._smith_diagonal)
 
 
 def det_bareiss(m: IntMatrix) -> int:

@@ -17,10 +17,9 @@ trial's stream under the same rule and stop drawing once that trial's
 event is decided, so their results equal the events of the matching
 `sample_trajectory` runs.
 
-First-step-analysis oracles (`hit_zero_probability`, `sup_distribution`)
-solve the associated tridiagonal linear systems; truncation policy for the
-infinite-state oracle is geometric growth of the cut-off K with a 1e-12
-successive-difference convergence test.
+Oracles: `hit_zero_probability` is the gambler's-ruin closed form, and
+`sup_distribution` solves the first-step-analysis tridiagonal system
+exactly in rationals.
 """
 
 from __future__ import annotations
@@ -275,51 +274,18 @@ def classify_walk(params: WalkParams) -> WalkClass:
     return WalkClass.RECURRENT if params.p <= params.q else WalkClass.TRANSIENT
 
 
-def _truncated_hit_zero(p: float, q: float, i: int, cutoff: int) -> float:
-    """Hitting probability of 0 from i for the walk killed at `cutoff`.
-
-    First-step analysis: h_0 = 1, h_cutoff = 0 and
-    h_j = p h_{j+1} + q h_{j-1} in between, solved as a tridiagonal system.
-    """
-    from scipy.linalg import solve_banded
-
-    if i <= 0:
-        return 1.0
-    if i >= cutoff:
-        return 0.0
-    n = cutoff - 1  # unknowns h_1 .. h_{cutoff-1}
-    ab = np.zeros((3, n))
-    ab[0, 1:] = p       # superdiagonal
-    ab[1, :] = -1.0     # diagonal
-    ab[2, :-1] = q      # subdiagonal
-    rhs = np.zeros(n)
-    rhs[0] = -q  # moves the h_0 = 1 boundary term across
-    h = solve_banded((1, 1), ab, rhs)
-    return min(1.0, max(0.0, float(h[i - 1])))
-
-
-def hit_zero_probability(params: WalkParams, start: int, *,
-                         tol: float = 1e-12, max_cutoff: int = 1 << 24) -> float:
+def hit_zero_probability(params: WalkParams, start: int) -> float:
     """Probability that the walk started at `start` ever reaches 0.
 
-    For p <= q the monotone limit of the truncated systems is 1 (the chain
-    is recurrent), and that limit is returned directly.  For p > q the
-    truncated solutions increase to the limit geometrically; the cutoff
-    doubles until two successive values differ by less than `tol`.
+    Gambler's ruin: 1 at the start 0 and whenever p <= q (the chain is
+    recurrent), and (q/p)**start for p > q, the limit of the hitting
+    probabilities of the walk killed at K as K grows.
     """
     if start < 0:
         raise InvalidParamsError("start state must be nonnegative")
     if start == 0 or params.p <= params.q:
         return 1.0
-    cutoff = max(64, 4 * start)
-    prev = _truncated_hit_zero(params.p, params.q, start, cutoff)
-    while cutoff <= max_cutoff:
-        cutoff *= 2
-        cur = _truncated_hit_zero(params.p, params.q, start, cutoff)
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
-    return prev  # monotone lower bound; only reachable for p barely above q
+    return (params.q / params.p) ** start
 
 
 def sup_distribution(params: WalkParams, k: int) -> Fraction:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cstarlab.intlinalg as intlinalg
 from cstarlab.intlinalg import (
     FGAbelianGroup,
     IntMatrix,
@@ -85,6 +86,27 @@ class TestSmithNormalForm:
     def test_rank_nullity(self, m):
         assert rank(m) + kernel_rank(m) == m.cols
 
+    @settings(max_examples=150, deadline=None)
+    @given(int_matrices())
+    def test_readers_match_smith_form(self, m):
+        diag = [x for x in smith_normal_form(m).d.diagonal() if x]
+        assert rank(m) == len(diag)
+        assert kernel_rank(m) == m.cols - len(diag)
+        assert cokernel(m) == FGAbelianGroup(m.rows - len(diag), tuple(x for x in diag if x > 1))
+
+    def test_readers_eliminate_once(self, monkeypatch):
+        calls = []
+        eliminate = intlinalg._eliminate
+
+        def counting(*args):
+            calls.append(args)
+            eliminate(*args)
+
+        monkeypatch.setattr(intlinalg, "_eliminate", counting)
+        m = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+        assert (rank(m), cokernel(m), kernel_rank(m)) == (3, FGAbelianGroup(0, (2, 6, 12)), 0)
+        assert len(calls) == 1
+
 
 class TestCokernel:
     def test_zero_endomorphism(self):
@@ -131,6 +153,13 @@ class TestFGAbelianGroup:
         assert invariant_factors([2, 2]) == (2, 2)
         assert invariant_factors([4, 6]) == (2, 12)
         assert invariant_factors([]) == ()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(2, 60), max_size=5))
+    def test_invariant_factors_match_diagonal_cokernel(self, orders):
+        diag = [[d if i == j else 0 for j in range(len(orders))] for i, d in enumerate(orders)]
+        torsion = cokernel(IntMatrix.from_rows(diag, cols=len(orders))).torsion
+        assert invariant_factors(orders) == torsion
 
     def test_direct_sum(self):
         a = FGAbelianGroup(1, (2,))

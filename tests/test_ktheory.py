@@ -131,6 +131,11 @@ class TestDimensionDrop:
         with pytest.raises(ValueError):
             k_dimension_drop(0, 3)
 
+    def test_large_prime_torsion(self):
+        # 2^61 - 1 is prime: renormalising the torsion must not factor it
+        p = 2 ** 61 - 1
+        assert k_dimension_drop(p, 2 * p) == (Z, FGAbelianGroup.cyclic(p))
+
     def test_symmetry(self):
         rng = stream(7)
         for _ in range(40):

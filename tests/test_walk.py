@@ -14,7 +14,6 @@ from cstarlab.walk import (
     WalkClass,
     WalkParams,
     _first_exit,
-    _truncated_hit_zero,
     batch_hits_zero,
     batch_sup,
     check_trajectory,
@@ -171,19 +170,16 @@ class TestHitZeroProbability:
             assert hit_zero_probability(WalkParams.point(p), 5) == 1.0
 
     def test_transient_matches_closed_form(self):
-        # independent closed form (q/p)^i for the free walk
-        for p, i in [(0.6, 1), (0.6, 4), (0.75, 2), (0.51, 1)]:
-            params = WalkParams.point(p)
-            expected = (params.q / params.p) ** i
-            assert abs(hit_zero_probability(params, i) - expected) < 1e-9
+        # P(absorbed at 0 before k + 1) increases to the hitting probability,
+        # and by gambler's ruin is within (q/p)^(k+1) of it
+        for p in (0.6, 0.75):
+            for i in (1, 2, 4):
+                absorbing = WalkParams.point(p, barrier=Barrier.ABSORBING, start=i)
+                limit = float(sup_distribution(absorbing, 100))
+                assert abs(hit_zero_probability(WalkParams.point(p), i) - limit) < 1e-12
 
     def test_never_returns_when_q_zero(self):
         assert hit_zero_probability(WalkParams.point(1.0), 2) == 0.0
-
-    def test_truncated_values_increase(self):
-        vals = [_truncated_hit_zero(0.5, 0.5, 3, 2 ** k) for k in range(4, 10)]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-        assert vals[-1] < 1.0  # truncation bites at criticality; limit is 1
 
 
 class TestSupDistribution:
