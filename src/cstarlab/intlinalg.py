@@ -11,7 +11,7 @@ block into pivot position.  This keeps entry growth modest in practice at
 the desk scales we care about (dims <= 100).  Only `smith_normal_form`
 builds the unimodular transforms.  `rank`, `cokernel` and `kernel_rank`
 read the diagonal alone, which each `IntMatrix` computes at most once and
-keeps.
+keeps; `smith_normal_form` leaves its own diagonal there too.
 """
 
 from __future__ import annotations
@@ -111,9 +111,7 @@ class IntMatrix:
     @cached_property
     def _smith_diagonal(self) -> tuple[int, ...]:
         """Nonzero Smith-form diagonal (the invariant factors), computed once."""
-        a = self.to_lists()
-        _eliminate(a, self.rows, self.cols)
-        return tuple(a[i][i] for i in range(min(self.rows, self.cols)) if a[i][i])
+        return _eliminate(self.to_lists(), self.rows, self.cols)
 
 
 @dataclass(frozen=True)
@@ -208,12 +206,13 @@ class SmithDecomposition:
     v: IntMatrix
 
 
-def _eliminate(a: list[list[int]], rows: int, cols: int) -> None:
+def _eliminate(a: list[list[int]], rows: int, cols: int) -> tuple[int, ...]:
     """Bring the top-left rows x cols block of `a` to Smith form, in place.
 
     Pivots come from that block only, while row operations act on whole
     rows of `a` and column operations on whole columns, so whatever sits to
-    the right of or below the block records the transforms.
+    the right of or below the block records the transforms.  Returns the
+    block's nonzero diagonal (the invariant factors).
     """
     t = 0
     while t < min(rows, cols):
@@ -265,6 +264,7 @@ def _eliminate(a: list[list[int]], rows: int, cols: int) -> None:
                 break
             a[t] = [x + y for x, y in zip(a[t], a[offender])]
         t += 1
+    return tuple(a[i][i] for i in range(min(rows, cols)) if a[i][i])
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
@@ -279,7 +279,10 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     r, c = m.rows, m.cols
     a = [row + [int(i == k) for k in range(r)] for i, row in enumerate(m.to_lists())]
     a += [[int(i == j) for j in range(c)] + [0] * r for i in range(c)]
-    _eliminate(a, r, c)
+    diagonal = _eliminate(a, r, c)
+    # the block's pivots are the ones m alone would take, so this is the
+    # diagonal that rank, cokernel and kernel_rank read
+    m.__dict__.setdefault("_smith_diagonal", diagonal)
     return SmithDecomposition(IntMatrix.from_rows((row[c:] for row in a[:r]), cols=r),
                               IntMatrix.from_rows((row[:c] for row in a[:r]), cols=c),
                               IntMatrix.from_rows((row[:c] for row in a[r:]), cols=c))

@@ -26,11 +26,10 @@ from dataclasses import dataclass, field
 
 from .intlinalg import FGAbelianGroup
 from .rng import mix64
-from .simplex import MeasureScheme, SimplexTower, build_tower, covering_radius
+from .simplex import MeasureScheme, build_tower, covering_radius
 from .walk import (
     Barrier,
     InvalidParamsError,
-    Trajectory,
     UnsupportedBarrierError,
     WalkParams,
     batch_hits_zero,
@@ -164,20 +163,22 @@ class SampleDiagnostics:
         }
 
 
-def _radius_samples(tower: SimplexTower) -> dict[int, float]:
+def _radius_samples(states: tuple[int, ...], scheme: MeasureScheme,
+                    seed: int) -> dict[int, float]:
     """Covering radii at the last levels of dimension 1 and 2.
 
     Pushdowns are taken over a bounded lookahead window so the diagnostic
     stays cheap on long towers; the window size is DIAGNOSTIC_WINDOW levels.
+    Only the prefix of the tower those windows read is built: collapses
+    draw in trajectory order, so it equals the full tower's truncation.
     """
-    out: dict[int, float] = {}
-    for target in (1, 2):
-        for level in range(tower.top_level, -1, -1):
-            if tower.dims[level] == target:
-                truncated = tower.truncate(level + DIAGNOSTIC_WINDOW)
-                out[target] = covering_radius(truncated, level)
-                break
-    return out
+    last = {d: level for level, d in enumerate(states) if d in (1, 2)}
+    if not last:
+        return {}
+    tower = build_tower(states[: max(last.values()) + DIAGNOSTIC_WINDOW + 1], scheme, seed)
+    return {target: covering_radius(tower.truncate(last[target] + DIAGNOSTIC_WINDOW),
+                                    last[target])
+            for target in (1, 2) if target in last}
 
 
 def sample_algebra(params: WalkParams, scheme: MeasureScheme, horizon: int,
@@ -230,8 +231,8 @@ def sample_algebra(params: WalkParams, scheme: MeasureScheme, horizon: int,
                                         absorbed=absorbed, absorption_time=absorption_time)
 
     if len(tower_states) > 1:
-        tower = build_tower(Trajectory(tuple(tower_states)), scheme, mix64(seed, 1))
-        diagnostics.covering_radius_samples = _radius_samples(tower)
+        diagnostics.covering_radius_samples = _radius_samples(
+            tower_states, scheme, mix64(seed, 1))
     return descriptor, diagnostics
 
 

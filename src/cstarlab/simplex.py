@@ -12,6 +12,14 @@ of the base.  Collapse points are drawn from one of three measures:
   face cycling through base >= next face >= ... >= first vertex on
   successive collapses into the same dimension (see `draw_collapse`).
 
+A `SimplexTower` stores its dimensions and one read-only float64 array
+`coords` holding every collapse vector in step order; the int64 array
+`offsets` gives step i the slice coords[offsets[i]:offsets[i + 1]], which
+is empty for an inclusion.  No object is kept per step: `build_tower`
+writes its draws straight into `coords`, and the archive, truncation,
+pushdown and covering-radius code read slices of it.  `maps` presents the
+same data as a tuple of `TowerMap` objects, built on first access.
+
 Distances between barycentric vectors use the halved l1 metric, so two
 vertices are at distance exactly 1.
 """
@@ -20,8 +28,9 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, combinations
 from typing import Sequence
 
 import numpy as np
@@ -52,19 +61,21 @@ def is_barycentric(vec: np.ndarray, tol: float = BARYCENTRIC_TOL) -> bool:
         np.all(vec >= -tol) and abs(float(vec.sum()) - 1.0) <= tol)
 
 
-def _uniform_on_face(top_vertex: int, length: int, rng: np.random.Generator) -> np.ndarray:
-    """Lebesgue-uniform point of conv{e_0, ..., e_top_vertex} inside R^length.
+def _uniform_on_face(top_vertex: int, out: np.ndarray, rng: np.random.Generator) -> None:
+    """Write a Lebesgue-uniform point of conv{e_0, ..., e_top_vertex} into
+    the zeroed vector `out`, drawing top_vertex uniforms (none for a vertex).
 
     Sorted-uniform spacings: the gaps of top_vertex sorted uniforms in [0,1]
     are exactly Dirichlet(1, ..., 1), i.e. uniform on the face.
     """
-    out = np.zeros(length)
     if top_vertex == 0:
         out[0] = 1.0
-        return out
-    cuts = np.sort(rng.random(top_vertex))
-    out[: top_vertex + 1] = np.diff(np.concatenate(([0.0], cuts, [1.0])))
-    return out
+        return
+    cuts = rng.random(top_vertex)
+    cuts.sort()
+    out[0] = cuts[0]
+    np.subtract(cuts[1:], cuts[:-1], out=out[1:top_vertex])
+    out[top_vertex] = 1.0 - cuts[-1]
 
 
 def face_top_vertex(n: int, visit_index: int) -> int:
@@ -81,26 +92,29 @@ def face_top_vertex(n: int, visit_index: int) -> int:
 
 
 def draw_collapse(scheme: MeasureScheme, n: int, visit_index: int,
-                  rng: np.random.Generator) -> np.ndarray:
+                  rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
     """Draw the image of the new top vertex for a collapse into dimension n.
 
     The result is a barycentric point of the base (length n).  For n = 1 the
     base is a single point and every scheme returns (1.0,).  `visit_index`
     only matters for the Lebesgue-faces scheme, which selects the target
     face per `face_top_vertex`; the other schemes still consume their draws
-    so streams stay aligned across schemes of the same shape.
+    so streams stay aligned across schemes of the same shape.  The point is
+    written into `out`, a zeroed length-n vector, when one is given.
     """
     if n < 1:
         raise ValueError("collapses exist only into dimension >= 1")
-    if scheme is MeasureScheme.BARYCENTER_POINT_MASS:
-        return np.full(n, 1.0 / n)
-    if scheme is MeasureScheme.UNIFORM_VERTICES:
+    if out is None:
         out = np.zeros(n)
+    if scheme is MeasureScheme.BARYCENTER_POINT_MASS:
+        out.fill(1.0 / n)
+    elif scheme is MeasureScheme.UNIFORM_VERTICES:
         out[int(rng.integers(n))] = 1.0
-        return out
-    if scheme is MeasureScheme.LEBESGUE_FACES:
-        return _uniform_on_face(face_top_vertex(n, visit_index), n, rng)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    elif scheme is MeasureScheme.LEBESGUE_FACES:
+        _uniform_on_face(face_top_vertex(n, visit_index), out, rng)
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -119,37 +133,101 @@ class TowerMap:
             raise ValueError("collapse vector must be barycentric")
 
 
-@dataclass(frozen=True)
+_INCLUSION = TowerMap("inclusion")
+
+
+def _layout(dims: Sequence[int]) -> tuple[tuple[int, ...], np.ndarray]:
+    """Checked dimensions and the offsets of their collapse vectors.
+
+    Step i is a collapse exactly when the dimension rises; its vector has
+    dims[i + 1] coordinates and sits at coords[offsets[i]:offsets[i + 1]].
+    An inclusion owns the empty slice.
+    """
+    d = np.asarray(dims)
+    if d.size == 0:
+        raise InvalidTrajectoryError("a tower needs at least one level")
+    if d.ndim != 1 or d.dtype.kind not in "iu" or d.min() < 0:
+        raise InvalidTrajectoryError("dimensions must be a sequence of integers >= 0")
+    steps = np.diff(d)
+    bad = np.flatnonzero(np.abs(steps) != 1)
+    if bad.size:
+        i = int(bad[0])
+        raise InvalidTrajectoryError(f"dimension step {d[i]} -> {d[i + 1]} is not +-1")
+    lengths = np.where(steps > 0, d[1:], 0)
+    offsets = np.zeros(d.size, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return tuple(d.tolist()), offsets
+
+
+def _collapses(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length in coords of every collapse vector, in step order."""
+    lengths = np.diff(offsets)
+    return offsets[:-1][lengths > 0], lengths[lengths > 0]
+
+
+def _check_coords(coords: np.ndarray, offsets: np.ndarray) -> None:
+    """Every collapse vector must be barycentric to BARYCENTRIC_TOL."""
+    if coords.shape != (offsets[-1],):
+        raise InvalidTrajectoryError(
+            f"need {offsets[-1]} collapse coordinates, got shape {coords.shape}")
+    starts, _ = _collapses(offsets)
+    if not starts.size:
+        return
+    ok = np.abs(np.add.reduceat(coords, starts) - 1.0) <= BARYCENTRIC_TOL
+    ok &= np.logical_and.reduceat(coords >= -BARYCENTRIC_TOL, starts)
+    if not ok.all():
+        step = int(np.searchsorted(offsets, starts[np.argmin(ok)], side="right")) - 1
+        raise ValueError(f"collapse vector at step {step} must be barycentric")
+
+
+@dataclass(frozen=True, eq=False)
 class SimplexTower:
     """A truncated projective system: dims[i] is the simplex dimension at level i.
 
-    maps[i] sends level i+1 to level i; it is an inclusion exactly when the
+    Step i sends level i+1 to level i; it is an inclusion exactly when the
     dimension drops by one and a collapse exactly when it rises by one.
+    All collapse vectors live in one read-only float64 array `coords`, in
+    step order: the vector of step i is coords[offsets[i]:offsets[i + 1]],
+    empty for an inclusion.  `maps` presents the same data as TowerMap
+    objects, built on first access.
     """
 
     dims: tuple[int, ...]
-    maps: tuple[TowerMap, ...]
+    coords: np.ndarray = ()
     scheme: MeasureScheme | None = None
     seed: int | None = None
+    offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.dims:
-            raise InvalidTrajectoryError("a tower needs at least one level")
-        if len(self.maps) != len(self.dims) - 1:
-            raise InvalidTrajectoryError("need exactly one map per step")
-        for i, m in enumerate(self.maps):
-            lo, hi = self.dims[i], self.dims[i + 1]
-            if hi == lo - 1:
-                expected = "inclusion"
-            elif hi == lo + 1:
-                expected = "collapse"
-            else:
-                raise InvalidTrajectoryError(f"dimension step {lo} -> {hi} is not +-1")
-            if m.kind != expected:
-                raise InvalidTrajectoryError(f"map {i} should be a {expected}")
-            if m.kind == "collapse" and len(m.vector) != lo + 1:
-                raise InvalidTrajectoryError(
-                    f"collapse vector at step {i} must have length {lo + 1}")
+        dims, offsets = _layout(self.dims)
+        coords = np.array(self.coords, dtype=float)
+        _check_coords(coords, offsets)
+        self._freeze(dims, coords, offsets)
+
+    @classmethod
+    def _trusted(cls, dims, coords, offsets, scheme, seed) -> "SimplexTower":
+        """A tower from parts that are already checked; no copy, no re-check."""
+        tower = object.__new__(cls)
+        object.__setattr__(tower, "scheme", scheme)
+        object.__setattr__(tower, "seed", seed)
+        tower._freeze(dims, coords, offsets)
+        return tower
+
+    def _freeze(self, dims, coords, offsets) -> None:
+        coords.flags.writeable = False
+        offsets.flags.writeable = False
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "offsets", offsets)
+
+    def __eq__(self, other):
+        if not isinstance(other, SimplexTower):
+            return NotImplemented
+        return (self.dims == other.dims and self.scheme == other.scheme
+                and self.seed == other.seed and np.array_equal(self.coords, other.coords))
+
+    def __hash__(self):
+        return hash((self.dims, self.scheme, self.seed))
 
     def __len__(self) -> int:
         return len(self.dims)
@@ -158,33 +236,76 @@ class SimplexTower:
     def top_level(self) -> int:
         return len(self.dims) - 1
 
+    @cached_property
+    def maps(self) -> tuple[TowerMap, ...]:
+        """One TowerMap per step, read off `coords` on first access."""
+        off = self.offsets.tolist()
+        values = self.coords.tolist()
+        return tuple(TowerMap("collapse", tuple(values[a:b])) if b > a else _INCLUSION
+                     for a, b in zip(off, off[1:]))
+
     def truncate(self, last_level: int) -> "SimplexTower":
+        if last_level < 0:
+            raise InvalidTrajectoryError("a tower needs at least one level")
         last_level = min(last_level, self.top_level)
-        return SimplexTower(self.dims[: last_level + 1], self.maps[:last_level],
-                            self.scheme, self.seed)
+        return SimplexTower._trusted(self.dims[: last_level + 1],
+                                     self.coords[: self.offsets[last_level]],
+                                     self.offsets[: last_level + 1], self.scheme, self.seed)
 
     def to_json(self) -> str:
-        doc = {
-            "dims": list(self.dims),
-            "maps": [
-                {"kind": m.kind} if m.vector is None
-                else {"kind": m.kind, "vector": list(m.vector)}
-                for m in self.maps
-            ],
-            "scheme": self.scheme.value if self.scheme else None,
-            "seed": self.seed,
-        }
-        return json.dumps(doc, sort_keys=True)
+        """The bytes of json.dumps(doc, sort_keys=True) for the documented doc.
+
+        Coordinates are written with float repr, as the json encoder does.
+        When most coordinates repeat their left neighbour bit for bit (the
+        barycentre rows, the zeros of vertex rows), each run of equal
+        coordinates is repr'd once and repeated; otherwise the json encoder
+        writes the whole document.
+        """
+        bits = self.coords.view(np.int64)
+        repeats = bits[1:] == bits[:-1]
+        off = self.offsets.tolist()
+        scheme = self.scheme.value if self.scheme else None
+        if 2 * np.count_nonzero(repeats) <= bits.size:
+            values = self.coords.tolist()
+            maps = [{"kind": "collapse", "vector": values[a:b]} if b > a
+                    else {"kind": "inclusion"} for a, b in zip(off, off[1:])]
+            return json.dumps({"dims": self.dims, "maps": maps, "scheme": scheme,
+                               "seed": self.seed}, sort_keys=True)
+        fresh = np.concatenate(([True], ~repeats))
+        heads = np.array(list(map(repr, self.coords[fresh].tolist())), dtype=object)
+        texts = heads[np.cumsum(fresh) - 1].tolist()
+        rows = ", ".join('{"kind": "collapse", "vector": [' + ", ".join(texts[a:b]) + "]}"
+                         if b > a else '{"kind": "inclusion"}' for a, b in zip(off, off[1:]))
+        return "".join(['{"dims": ', json.dumps(self.dims), ', "maps": [', rows,
+                        '], "scheme": ', json.dumps(scheme),
+                        ', "seed": ', json.dumps(self.seed, sort_keys=True), "}"])
 
     @classmethod
     def from_json(cls, text: str) -> "SimplexTower":
         doc = json.loads(text)
-        maps = tuple(
-            TowerMap(m["kind"], tuple(m["vector"]) if "vector" in m else None)
-            for m in doc["maps"]
-        )
+        maps = doc["maps"]
+        for i, m in enumerate(maps):
+            if m["kind"] not in ("inclusion", "collapse"):
+                raise ValueError(f"unknown map kind {m['kind']!r} at step {i}")
+            if (m["kind"] == "collapse") != ("vector" in m):
+                raise ValueError("collapse maps carry a vector, inclusions do not")
+        dims, offsets = _layout([int(d) for d in doc["dims"]])
+        if len(maps) != len(dims) - 1:
+            raise InvalidTrajectoryError("need exactly one map per step")
+        lengths = np.diff(offsets)
+        wrong = np.flatnonzero(lengths != [len(m.get("vector", ())) for m in maps])
+        if wrong.size:
+            i = int(wrong[0])
+            expected = "collapse" if lengths[i] else "inclusion"
+            if maps[i]["kind"] != expected:
+                raise InvalidTrajectoryError(f"map {i} should be a {expected}")
+            raise InvalidTrajectoryError(
+                f"collapse vector at step {i} must have length {lengths[i]}")
+        coords = np.fromiter(chain.from_iterable(m["vector"] for m in maps if "vector" in m),
+                             dtype=float, count=int(offsets[-1]))
+        _check_coords(coords, offsets)
         scheme = MeasureScheme(doc["scheme"]) if doc.get("scheme") else None
-        return cls(tuple(int(d) for d in doc["dims"]), maps, scheme, doc.get("seed"))
+        return cls._trusted(dims, coords, offsets, scheme, doc.get("seed"))
 
 
 def build_tower(trajectory: Trajectory | Sequence[int], scheme: MeasureScheme,
@@ -192,35 +313,22 @@ def build_tower(trajectory: Trajectory | Sequence[int], scheme: MeasureScheme,
     """Assemble the tower driven by a +-1 dimension trajectory.
 
     Collapse draws come from the stream keyed by (seed, 0), consumed in
-    trajectory order; each dimension keeps its own visit counter for the
-    faces schedule, so the tower is a pure function of its arguments.
+    trajectory order by `draw_collapse`; each dimension keeps its own visit
+    counter for the faces schedule, so the tower is a pure function of its
+    arguments.  Draws are written straight into `coords`.
     """
-    dims = tuple(trajectory.states) if isinstance(trajectory, Trajectory) else tuple(trajectory)
-    if not dims:
-        raise InvalidTrajectoryError("empty trajectory")
-    for a, b in zip(dims, dims[1:]):
-        if abs(a - b) != 1:
-            raise InvalidTrajectoryError(f"dimension step {a} -> {b} is not +-1")
+    states = trajectory.states if isinstance(trajectory, Trajectory) else trajectory
+    dims, offsets = _layout(states)
+    starts, lengths = _collapses(offsets)
+    coords = np.zeros(offsets[-1])
     rng = stream(seed)
     visits: dict[int, int] = {}
-    maps = []
-    for a, b in zip(dims, dims[1:]):
-        if b == a - 1:
-            maps.append(TowerMap("inclusion"))
-        else:
-            c = visits.get(b, 0)
-            visits[b] = c + 1
-            vec = draw_collapse(scheme, b, c, rng)
-            maps.append(TowerMap("collapse", tuple(float(x) for x in vec)))
-    return SimplexTower(dims, tuple(maps), scheme, seed)
-
-
-def _apply_map(m: TowerMap, points: np.ndarray) -> np.ndarray:
-    """Apply a tower map to a batch of barycentric row vectors."""
-    if m.kind == "inclusion":
-        return np.hstack([points, np.zeros((points.shape[0], 1))])
-    vec = np.asarray(m.vector)
-    return points[:, :-1] + np.outer(points[:, -1], vec)
+    for a, n in zip(starts.tolist(), lengths.tolist()):
+        c = visits.get(n, 0)
+        visits[n] = c + 1
+        draw_collapse(scheme, n, c, rng, coords[a: a + n])
+    _check_coords(coords, offsets)
+    return SimplexTower._trusted(dims, coords, offsets, scheme, seed)
 
 
 def pushdown(tower: SimplexTower, level_j: int, point: np.ndarray, level_m: int) -> np.ndarray:
@@ -235,10 +343,14 @@ def pushdown(tower: SimplexTower, level_j: int, point: np.ndarray, level_m: int)
             f"{tower.dims[level_j] + 1}")
     if not is_barycentric(point, tol=1e-9):
         raise DimensionMismatchError("point is not barycentric")
-    rows = point[None, :]
+    off = tower.offsets.tolist()
     for lev in range(level_j, level_m, -1):
-        rows = _apply_map(tower.maps[lev - 1], rows)
-    return rows[0]
+        a, b = off[lev - 1], off[lev]
+        if a == b:
+            point = np.append(point, 0.0)
+        else:
+            point = point[:-1] + point[-1] * tower.coords[a:b]
+    return point
 
 
 def barycentric_distance(x: np.ndarray, y: np.ndarray) -> float:
@@ -273,18 +385,25 @@ def _grid_size(dim: int, resolution: int) -> int:
 def top_vertex_images(tower: SimplexTower, level_m: int) -> np.ndarray:
     """Images at level m of the top vertices of every level above m.
 
-    Processed incrementally from the top of the tower down, so the whole
-    sweep is one map application per level on a growing batch.
+    Processed incrementally from the top of the tower down in one
+    preallocated (levels x width) buffer: row r holds the image of level
+    top - r's top vertex, added when the sweep reaches that level.  A
+    collapse folds the batch's last column onto the base and clears it; an
+    inclusion appends a zero column, which the cleared buffer already holds.
     """
     if not (0 <= level_m <= tower.top_level):
         raise DimensionMismatchError(f"level {level_m} outside the tower")
-    batch = np.zeros((0, tower.dims[tower.top_level] + 1))
-    for lev in range(tower.top_level, level_m, -1):
-        top = np.zeros((1, tower.dims[lev] + 1))
-        top[0, -1] = 1.0
-        batch = np.vstack([batch, top])
-        batch = _apply_map(tower.maps[lev - 1], batch)
-    return batch
+    dims, off, coords = tower.dims, tower.offsets.tolist(), tower.coords
+    buf = np.zeros((tower.top_level - level_m, max(dims[level_m:]) + 1))
+    for r, lev in enumerate(range(tower.top_level, level_m, -1)):
+        last = dims[lev]
+        buf[r, last] = 1.0
+        a, b = off[lev - 1], off[lev]
+        if b > a:
+            block = buf[: r + 1]
+            block[:, :last] += np.outer(block[:, last], coords[a:b])
+            block[:, last] = 0.0
+    return buf[:, : dims[level_m] + 1].copy()
 
 
 def covering_radius(tower: SimplexTower, level_m: int, *, resolution: int = 8) -> float:

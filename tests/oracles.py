@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths under test: surjectivity
 is decided by enumerating lattice points or maximal minors rather than
 Smith forms, determinants come from Bareiss elimination, step functions
-are compared on explicit rational grids, and walks are stepped one state
-per uniform.
+are compared on explicit rational grids, walks are stepped one state
+per uniform, and towers are built one `TowerMap` per step and pushed down
+one stacked batch per level.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from math import gcd
 import numpy as np
 
 from cstarlab.intlinalg import IntMatrix, det_bareiss
+from cstarlab.rng import stream
+from cstarlab.simplex import MeasureScheme, TowerMap
 from cstarlab.walk import Barrier, WalkParams
 
 
@@ -106,3 +109,70 @@ def capped_sup(states, cap: int) -> tuple[int, bool]:
         if s == 0 or top > cap:
             return min(top, cap + 1), True
     return min(top, cap + 1), False
+
+
+def reference_tower(dims, scheme: MeasureScheme, seed: int) -> tuple[TowerMap, ...]:
+    """The maps of build_tower(dims, scheme, seed): one collapse drawn per
+    rising step in trajectory order from the stream keyed by (seed, 0), the
+    face schedule counting visits per dimension."""
+    rng = stream(seed)
+    visits: dict[int, int] = {}
+    maps = []
+    for a, b in zip(dims, dims[1:]):
+        if b == a - 1:
+            maps.append(TowerMap("inclusion"))
+            continue
+        vec = np.zeros(b)
+        if scheme is MeasureScheme.BARYCENTER_POINT_MASS:
+            vec[:] = 1.0 / b
+        elif scheme is MeasureScheme.UNIFORM_VERTICES:
+            vec[int(rng.integers(b))] = 1.0
+        else:
+            c = visits.get(b, 0)
+            visits[b] = c + 1
+            top = (b - 1) - (c % b)
+            if top == 0:
+                vec[0] = 1.0
+            else:
+                cuts = np.sort(rng.random(top))
+                vec[: top + 1] = np.diff(np.concatenate(([0.0], cuts, [1.0])))
+        maps.append(TowerMap("collapse", tuple(float(x) for x in vec)))
+    return tuple(maps)
+
+
+def tower_doc(dims, maps, scheme: MeasureScheme | None, seed) -> dict:
+    """The documented archive of a tower, as json.loads reads it back."""
+    return {
+        "dims": list(dims),
+        "maps": [{"kind": m.kind} if m.vector is None
+                 else {"kind": m.kind, "vector": list(m.vector)} for m in maps],
+        "scheme": scheme.value if scheme else None,
+        "seed": seed,
+    }
+
+
+def _apply_map(m: TowerMap, batch: np.ndarray) -> np.ndarray:
+    """One step down: append a zero coordinate, or fold the last one onto
+    the base along the collapse vector."""
+    if m.kind == "inclusion":
+        return np.hstack([batch, np.zeros((batch.shape[0], 1))])
+    return batch[:, :-1] + np.outer(batch[:, -1], np.asarray(m.vector))
+
+
+def reference_pushdown(maps, level_j: int, point: np.ndarray, level_m: int) -> np.ndarray:
+    """A level-j point pushed to level m one map at a time."""
+    batch = np.asarray(point, dtype=float)[None, :]
+    for lev in range(level_j, level_m, -1):
+        batch = _apply_map(maps[lev - 1], batch)
+    return batch[0]
+
+
+def reference_top_vertex_images(dims, maps, level_m: int) -> np.ndarray:
+    """Top vertices of the levels above m pushed to level m: stack each
+    level's top vertex under the batch, then apply that level's map."""
+    batch = np.zeros((0, dims[-1] + 1))
+    for lev in range(len(dims) - 1, level_m, -1):
+        top = np.zeros((1, dims[lev] + 1))
+        top[0, -1] = 1.0
+        batch = _apply_map(maps[lev - 1], np.vstack([batch, top]))
+    return batch

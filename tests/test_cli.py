@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -38,6 +39,37 @@ class TestDeterminism:
         first = strip_header(out)
         assert run(argv) == 0
         assert strip_header(out) == first
+
+    # sha256 of the report bytes without the timestamp line, recorded from
+    # the implementation that kept one TowerMap object per step; a change
+    # here is a change of report bytes across versions, not just across runs
+    @pytest.mark.parametrize("argv_stub, digest", [
+        (["simplex", "--p", "0.7", "--scheme", "barycenter", "--horizon", "300", "--seed", "5"],
+         "2562ba2ade81c18e81333e0143aebc042c4f86d6d262f98a55acd1317cd015a1"),
+        (["simplex", "--p", "0.7", "--scheme", "vertices", "--horizon", "300", "--seed", "5"],
+         "9b522478fc38eef1bc0fff85f4e0577df11526e2295aaf7b77072e49069f6391"),
+        (["simplex", "--p", "0.7", "--scheme", "faces", "--horizon", "300", "--seed", "5"],
+         "5a4424785672dc1e44d8ea85245618f05d1c6920df5b94d16acfb922465ba9ae"),
+        (["sample", "--p", "0.45", "--scheme", "faces", "--trials", "100",
+          "--horizon", "1200", "--seed", "7"],
+         "e8d3157f2cdadec68a441de311427b9719fc1f5252b71657c2589494f6a5533d"),
+        (["sample", "--p", "0.7", "--scheme", "vertices", "--trials", "100",
+          "--horizon", "1200", "--seed", "7"],
+         "4ae61bf5eef82003a03f2b46edb966f12540867c7f7a045bdc0fe91bb37cda01"),
+        (["sample", "--p", "0.55", "--barrier", "absorbing", "--start", "4", "--scheme", "faces",
+          "--trials", "100", "--horizon", "1200", "--seed", "5"],
+         "d5b6dbd45867e6371bd8eafbc2ad9593aade696b9b52e0778af8dce00ce22320"),
+        (["sample", "--p", "0.55", "--barrier", "absorbing", "--start", "4", "--scheme",
+          "barycenter", "--trials", "100", "--horizon", "1200", "--seed", "2"],
+         "503c3fbc653c3ab966e5687a8865c45cdd5170845a8a96261a9ef068fde67d84"),
+    ])
+    def test_reports_match_recorded_digests(self, tmp_path, monkeypatch, argv_stub, digest):
+        # the config line records --output, so every run writes the same name
+        monkeypatch.chdir(tmp_path)
+        assert run(argv_stub + ["--output", "report.jsonl"]) == 0
+        with open("report.jsonl", "rb") as handle:
+            body = b"".join(ln for ln in handle if not ln.startswith(b"# generated_at="))
+        assert hashlib.sha256(body).hexdigest() == digest
 
     def test_different_seed_changes_monte_carlo_report(self, tmp_path):
         out1 = str(tmp_path / "a.out")

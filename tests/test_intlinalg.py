@@ -90,9 +90,13 @@ class TestSmithNormalForm:
     @given(int_matrices())
     def test_readers_match_smith_form(self, m):
         diag = [x for x in smith_normal_form(m).d.diagonal() if x]
-        assert rank(m) == len(diag)
-        assert kernel_rank(m) == m.cols - len(diag)
-        assert cokernel(m) == FGAbelianGroup(m.rows - len(diag), tuple(x for x in diag if x > 1))
+        # the readers run on an equal matrix whose diagonal is not cached yet,
+        # and on m itself, whose diagonal smith_normal_form left behind
+        for same in (IntMatrix(m.rows, m.cols, m.entries), m):
+            assert rank(same) == len(diag)
+            assert kernel_rank(same) == m.cols - len(diag)
+            assert cokernel(same) == FGAbelianGroup(m.rows - len(diag),
+                                                    tuple(x for x in diag if x > 1))
 
     def test_readers_eliminate_once(self, monkeypatch):
         calls = []
@@ -100,11 +104,26 @@ class TestSmithNormalForm:
 
         def counting(*args):
             calls.append(args)
-            eliminate(*args)
+            return eliminate(*args)
 
         monkeypatch.setattr(intlinalg, "_eliminate", counting)
         m = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
         assert (rank(m), cokernel(m), kernel_rank(m)) == (3, FGAbelianGroup(0, (2, 6, 12)), 0)
+        assert len(calls) == 1
+
+    def test_smith_form_fills_the_diagonal_cache(self, monkeypatch):
+        calls = []
+        eliminate = intlinalg._eliminate
+
+        def counting(*args):
+            calls.append(args)
+            return eliminate(*args)
+
+        monkeypatch.setattr(intlinalg, "_eliminate", counting)
+        m = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+        snf = smith_normal_form(m)
+        assert (cokernel(m), kernel_rank(m), rank(m)) == (FGAbelianGroup(0, (2, 6, 12)), 0, 3)
+        assert snf.d.diagonal() == (2, 6, 12)
         assert len(calls) == 1
 
 

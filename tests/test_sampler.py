@@ -2,8 +2,11 @@ import math
 
 import pytest
 
+from cstarlab import sampler
 from cstarlab.intlinalg import FGAbelianGroup
+from cstarlab.rng import mix64
 from cstarlab.sampler import (
+    DIAGNOSTIC_WINDOW,
     AlgebraDescriptor,
     Finiteness,
     TraceSpaceKind,
@@ -16,13 +19,14 @@ from cstarlab.sampler import (
     sample_algebra,
     wilson_interval,
 )
-from cstarlab.simplex import MeasureScheme
+from cstarlab.simplex import MeasureScheme, build_tower, covering_radius
 from cstarlab.walk import (
     Barrier,
     InvalidParamsError,
     UnsupportedBarrierError,
     WalkParams,
     hit_zero_probability,
+    sample_trajectory,
     sup_distribution,
 )
 
@@ -111,6 +115,51 @@ class TestSampleAlgebra:
     def test_horizon_validated(self):
         with pytest.raises(InvalidParamsError):
             sample_algebra(WalkParams.point(0.5), MeasureScheme.UNIFORM_VERTICES, 0, 1)
+
+    def test_radius_samples_equal_the_full_towers(self, monkeypatch):
+        # sample_algebra builds only the tower prefix its radii read; that
+        # prefix must be the full tower's truncation, and the radii those of
+        # the tower over the whole horizon
+        built = []
+
+        def recording_build(*args):
+            built.append(build_tower(*args))
+            return built[-1]
+
+        monkeypatch.setattr(sampler, "build_tower", recording_build)
+        horizon = 1500
+        seen = {"prefix": 0, "none": 0, "both": 0}
+        for barrier, p, start in [(Barrier.REFLECTING, 0.4, 0), (Barrier.REFLECTING, 0.5, 0),
+                                  (Barrier.REFLECTING, 0.7, 0), (Barrier.REFLECTING, 0.8, 7),
+                                  (Barrier.ABSORBING, 0.45, 4), (Barrier.ABSORBING, 0.55, 4)]:
+            params = WalkParams(p=p, barrier=barrier, initial=((start, 1.0),))
+            for scheme in MeasureScheme:
+                for seed in (1, 5, 6):
+                    built.clear()
+                    _, diag = sample_algebra(params, scheme, horizon, seed)
+                    states = sample_trajectory(params, horizon + 1, seed).states
+                    if barrier is Barrier.ABSORBING and 0 in states:
+                        states = states[: states.index(0) + 1]
+                    expected = {}
+                    if len(states) > 1:
+                        tower = build_tower(states, scheme, mix64(seed, 1))
+                        for target in (1, 2):
+                            levels = [i for i, d in enumerate(states) if d == target]
+                            if levels:
+                                window = tower.truncate(levels[-1] + DIAGNOSTIC_WINDOW)
+                                expected[target] = covering_radius(window, levels[-1])
+                    assert diag.covering_radius_samples == expected
+                    low = [i for i, d in enumerate(states) if d in (1, 2)]
+                    if low:
+                        assert built == [tower.truncate(low[-1] + DIAGNOSTIC_WINDOW)]
+                    else:
+                        assert built == []
+                    seen["none"] += not low
+                    seen["both"] += len(expected) == 2
+                    seen["prefix"] += bool(low) and low[-1] + DIAGNOSTIC_WINDOW + 1 < len(states)
+        # walks that never reach dimension 1 or 2, and walks whose radii
+        # read only a prefix of the tower, are both covered
+        assert min(seen.values()) > 0
 
     def test_empirical_sup_histogram(self):
         # absorbing mode: descriptor sups across seeds follow the exact law

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,27 @@ from cstarlab.simplex import (
     top_vertex_images,
 )
 from cstarlab.walk import WalkParams, sample_trajectory
+from oracles import reference_pushdown, reference_top_vertex_images, reference_tower, tower_doc
 
 SCHEMES = list(MeasureScheme)
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def trajectories():
+    """Rising, falling and walk-driven dimension sequences, lengths 1 upward."""
+    yield [0]
+    yield [3]
+    yield [0, 1]
+    yield [2, 1]
+    yield list(range(40))
+    yield list(range(12, -1, -1))
+    yield [4, 5, 6, 5, 4, 3, 4, 5, 6, 7, 6]
+    for p, length, seed in [(0.3, 150, 1), (0.5, 300, 2), (0.6, 41, 3),
+                            (0.7, 400, 4), (0.8, 250, 5)]:
+        yield list(sample_trajectory(WalkParams.point(p), length, seed).states)
 
 
 class TestDrawCollapse:
@@ -71,6 +92,17 @@ class TestDrawCollapse:
                 for visit in range(n + 2):
                     assert is_barycentric(draw_collapse(scheme, n, visit, rng))
 
+    def test_out_slice_gets_the_same_draw(self):
+        for scheme in SCHEMES:
+            for n in range(1, 6):
+                for visit in range(n + 1):
+                    buf = np.zeros(n + 4)
+                    vec = draw_collapse(scheme, n, visit, stream(n), buf[2: 2 + n])
+                    assert np.shares_memory(vec, buf)
+                    assert buf.tobytes() == np.concatenate(
+                        ([0.0, 0.0], draw_collapse(scheme, n, visit, stream(n)),
+                         [0.0, 0.0])).tobytes()
+
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
             draw_collapse(MeasureScheme.BARYCENTER_POINT_MASS, 0, 0, stream(0))
@@ -108,6 +140,119 @@ class TestBuildTower:
         traj = sample_trajectory(WalkParams.point(0.6), 60, 3)
         tower = build_tower(traj, MeasureScheme.LEBESGUE_FACES, seed=1)
         assert SimplexTower.from_json(tower.to_json()) == tower
+
+
+class TestFlatTowerAgainstReference:
+    """build_tower, the archive and the pushed-down batches agree bitwise
+    with the per-map construction in tests/oracles.py."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_build_matches_per_collapse_draws(self, scheme):
+        for k, dims in enumerate(trajectories()):
+            tower = build_tower(dims, scheme, seed=100 + k)
+            ref = reference_tower(dims, scheme, 100 + k)
+            assert tower.dims == tuple(dims)
+            assert tower.maps == ref
+            assert bits(tower.coords) == bits([x for m in ref if m.vector for x in m.vector])
+            assert tower.offsets.tolist() == np.cumsum(
+                [0] + [len(m.vector or ()) for m in ref]).tolist()
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_archive_is_the_documented_json(self, scheme):
+        for k, dims in enumerate(trajectories()):
+            tower = build_tower(dims, scheme, seed=200 + k)
+            text = tower.to_json()
+            doc = tower_doc(dims, reference_tower(dims, scheme, 200 + k), scheme, 200 + k)
+            assert text == json.dumps(doc, sort_keys=True)
+            back = SimplexTower.from_json(text)
+            assert back == tower
+            assert bits(back.coords) == bits(tower.coords)
+            assert back.to_json() == text
+
+    @pytest.mark.parametrize("vectors, repeats", [
+        # -0.0 among zeros, in a tower where most coordinates repeat their
+        # left neighbour bit for bit
+        ([[1.0]] + [[0.0] * (n - 1) + [1.0] for n in range(2, 6)]
+         + [[0.0, 0.0, -0.0, 0.0, 1.0, 0.0], [0.0] * 6 + [1.0], [-0.0] * 7 + [1.0]], True),
+        # -0.0 among distinct values
+        ([[1.0], [0.25, 0.75], [0.125, -0.0, 0.875], [0.1, 0.2, 0.3, 0.4],
+          [0.5, 0.0625, 0.125, 0.25, 0.0625], [0.05, 0.15, 0.2, 0.1, 0.3, 0.2],
+          [0.3, 0.1, 0.2, 0.05, 0.15, 0.125, 0.075], [0.5, 0.25, 0.0625, 0.0625, 0.03125, 0.03125, 0.0625, 0.0]], False),
+        # single-coordinate and constant rows
+        ([[1.0] * 1] + [[1 / n] * n for n in range(2, 9)], True),
+    ])
+    def test_hand_written_archives_round_trip(self, vectors, repeats):
+        dims = list(range(len(vectors) + 1)) + [len(vectors) - 1, len(vectors) - 2]
+        flat = np.array([x for v in vectors for x in v])
+        same = flat[1:].view(np.int64) == flat[:-1].view(np.int64)
+        assert (2 * np.count_nonzero(same) > flat.size) == repeats
+        maps = [TowerMap("collapse", tuple(v)) for v in vectors]
+        maps += [TowerMap("inclusion"), TowerMap("inclusion")]
+        for seed in (None, 7, {"b": 1, "a": [2, 3]}):
+            text = json.dumps(tower_doc(dims, maps, None, seed), sort_keys=True)
+            tower = SimplexTower.from_json(text)
+            assert tower.maps == tuple(maps)
+            assert tower.to_json() == text
+            assert bits(tower.coords) == bits(flat)
+
+    def test_constructor_checks_every_collapse(self):
+        assert SimplexTower((0, 1, 0), [1.0]).maps == (TowerMap("collapse", (1.0,)),
+                                                       TowerMap("inclusion"))
+        with pytest.raises(InvalidTrajectoryError):
+            SimplexTower((0, 1, 2), [1.0])
+        with pytest.raises(InvalidTrajectoryError):
+            SimplexTower((0, 2), [0.5, 0.5])
+        with pytest.raises(InvalidTrajectoryError):
+            SimplexTower((-1, 0), [])
+        with pytest.raises(ValueError):
+            SimplexTower((0, 1, 2), [1.0, 0.6, 0.6])
+        with pytest.raises(ValueError):
+            SimplexTower((0, 1, 2), [1.0, -0.1, 1.1])
+
+    def test_from_json_rejects_malformed_maps(self):
+        good = tower_doc([0, 1, 2, 1], [TowerMap("collapse", (1.0,)),
+                                        TowerMap("collapse", (0.5, 0.5)),
+                                        TowerMap("inclusion")], None, 1)
+        SimplexTower.from_json(json.dumps(good))
+        for i, bad in [(1, {"kind": "inclusion"}), (2, {"kind": "collapse", "vector": [1.0]}),
+                       (1, {"kind": "collapse", "vector": [1.0]}),
+                       (1, {"kind": "collapse", "vector": [0.7, 0.7]}),
+                       (0, {"kind": "twist"}), (2, {"kind": "inclusion", "vector": []})]:
+            doc = json.loads(json.dumps(good))
+            doc["maps"][i] = bad
+            with pytest.raises(ValueError):
+                SimplexTower.from_json(json.dumps(doc))
+
+    def test_truncate_is_a_prefix(self):
+        dims = list(sample_trajectory(WalkParams.point(0.6), 120, 9).states)
+        tower = build_tower(dims, MeasureScheme.LEBESGUE_FACES, 9)
+        for last in (0, 1, 57, tower.top_level, tower.top_level + 5):
+            cut = tower.truncate(last)
+            assert cut == build_tower(dims[: last + 1], MeasureScheme.LEBESGUE_FACES, 9)
+            assert cut.maps == tower.maps[:last]
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_pushdown_matches_map_by_map(self, scheme):
+        rng = stream(17)
+        for k, dims in enumerate(trajectories()):
+            tower = build_tower(dims, scheme, seed=400 + k)
+            ref_maps = reference_tower(dims, scheme, 400 + k)
+            for _ in range(4):
+                m, j = sorted(int(x) for x in rng.integers(len(dims), size=2))
+                point = rng.dirichlet(np.ones(dims[j] + 1))
+                got = pushdown(tower, j, point, m)
+                assert bits(got) == bits(reference_pushdown(ref_maps, j, point, m))
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_top_vertex_images_match_stacked_batches(self, scheme):
+        for k, dims in enumerate(trajectories()):
+            tower = build_tower(dims, scheme, seed=300 + k)
+            ref_maps = reference_tower(dims, scheme, 300 + k)
+            for level in sorted({0, len(dims) // 3, len(dims) // 2, len(dims) - 1}):
+                got = top_vertex_images(tower, level)
+                want = reference_top_vertex_images(dims, ref_maps, level)
+                assert got.shape == want.shape
+                assert bits(got) == bits(want)
 
 
 class TestPushdown:
