@@ -7,17 +7,21 @@ Three routes to the same circle of quantities:
   the pairwise distances, each threshold tested for a perfect matching by
   maximum flow (`bottleneck_brute_force` is the small-n oracle kept for
   verification);
-* `unitary_distance` -- the orbit distance inf_u ||a - u b u*|| with a
-  unitary attaining it: in closed form for Hermitian (Weyl) and unitary
-  (Bhatia-Davis) pairs, where it equals the matching distance of the
-  spectra, and as an upper bound from multi-start descent otherwise;
+* `unitary_distance` -- the orbit distance inf_u ||a - u b u*|| between
+  certified bounds, with a unitary attaining the upper one: eigenbases
+  aligned along an optimal matching attain the matching distance delta,
+  which is exact for Hermitian (Weyl) and unitary (Bhatia-Davis) pairs;
+  for other normal pairs the spectra's Hausdorff distance and delta / 2.91
+  (Bhatia-Davis-Koosis) bound it below, and multi-start descent runs only
+  when that leaves a gap;
 * `wasserstein_inf` -- the bottleneck transport distance between discrete
   measures with rational weights, computed exactly by expanding to a
   common denominator and matching equal-weight atoms.
 
 For Hermitian and unitary pairs the first two agree, and the third reduces
 to the first on spectral counting measures; for general normal pairs the
-package only records the values, asserting no equality.
+orbit distance is at most delta and can drop below it (from n = 3 on), so
+only the certified bounds are asserted.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Callable, Sequence
 
@@ -37,6 +41,8 @@ HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-12
 NORMALITY_TOL = 1e-10
 ATOM_MERGE_TOL = 1e-9
+# Bhatia-Davis-Koosis: delta <= 2.91 ||a - b|| for normal a, b
+BDK_CONSTANT = 2.91
 # descent: starts, iteration cap, stagnant iterations before a start freezes
 N_STARTS = 20
 MAX_ITER = 120
@@ -55,23 +61,8 @@ class NotNormalError(ValueError):
     """Matrix failed the normality certificate at construction."""
 
 
-@dataclass(frozen=True)
-class EigenMultiset:
-    """A finite multiset of complex numbers (spectrum with multiplicity)."""
-
-    values: tuple[complex, ...]
-
-    def __post_init__(self):
-        if len(self.values) < 1:
-            raise ValueError("an eigenvalue multiset cannot be empty")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def _as_values(x) -> np.ndarray:
-    vals = getattr(x, "values", x)
-    arr = np.atleast_1d(np.asarray(vals, dtype=complex))
+    arr = np.atleast_1d(np.asarray(x, dtype=complex))
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("expected a nonempty one-dimensional multiset")
     return arr
@@ -184,7 +175,9 @@ class NormalMatrix:
     """A square complex matrix with a normality certificate.
 
     Construction measures ||aa* - a*a|| and refuses anything above 1e-10;
-    Hermitian and unitary subtypes are flagged when within 1e-12.
+    Hermitian and unitary subtypes are flagged when within 1e-12.  The
+    complex Schur form is computed once, on first use, and both the
+    spectrum and the eigenbasis read it.
     """
 
     array: np.ndarray
@@ -198,37 +191,36 @@ class NormalMatrix:
             raise NotNormalError(f"normality residual {residual:.3e} exceeds {NORMALITY_TOL}")
         arr.setflags(write=False)
         object.__setattr__(self, "array", arr)
-        object.__setattr__(self, "_residual", residual)
 
     @property
     def n(self) -> int:
         return self.array.shape[0]
 
-    @property
-    def normality_residual(self) -> float:
-        return self._residual
-
-    @property
+    @cached_property
     def is_hermitian(self) -> bool:
         return operator_norm(self.array - self.array.conj().T) <= HERMITIAN_TOL
 
-    @property
+    @cached_property
     def is_unitary(self) -> bool:
         eye = np.eye(self.n)
         return operator_norm(self.array @ self.array.conj().T - eye) <= UNITARY_TOL
 
-    def spectrum(self) -> np.ndarray:
-        """Eigenvalues via a complex Schur form (unitary change of basis)."""
-        from scipy.linalg import schur
-
-        t, _ = schur(self.array, output="complex")
-        return np.diag(t).copy()
-
-    def eigenbasis(self) -> tuple[np.ndarray, np.ndarray]:
-        """(eigenvalues, unitary) sorted by (real, imag) ascending."""
+    @cached_property
+    def _schur(self) -> tuple[np.ndarray, np.ndarray]:
         from scipy.linalg import schur
 
         t, z = schur(self.array, output="complex")
+        t.setflags(write=False)
+        z.setflags(write=False)
+        return t, z
+
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues, the diagonal of the complex Schur form."""
+        return np.diag(self._schur[0]).copy()
+
+    def eigenbasis(self) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues, unitary) sorted by (real, imag) ascending."""
+        t, z = self._schur
         eig = np.diag(t)
         order = np.lexsort((eig.imag, eig.real))
         return eig[order], z[:, order]
@@ -258,18 +250,17 @@ def random_normal(n: int, rng: np.random.Generator) -> NormalMatrix:
 
 @dataclass(frozen=True)
 class UnitaryDistanceResult:
-    """Outcome of `unitary_distance`: the value and a unitary attaining it.
-    `certificate_gap` is set in closed form, `grad_norm` after descent."""
+    """Outcome of `unitary_distance`: the value, a unitary attaining it, and
+    the certified lower bound; `certificate_gap` is value - lower_bound."""
 
     value: float
     unitary: np.ndarray
-    grad_norm: float | None
+    lower_bound: float
+    certificate_gap: float
     converged: bool
     start_index: int
     n_starts: int
     iterations: int
-    hermitian_lower_bound: float | None = None
-    certificate_gap: float | None = None
 
     def __float__(self) -> float:
         return self.value
@@ -351,22 +342,24 @@ def _starting_unitaries(a: NormalMatrix, b: NormalMatrix, seed: int) -> np.ndarr
 def unitary_distance(a, b, tol: float = 1e-8, *, seed: int = 0) -> UnitaryDistanceResult:
     """The unitary orbit distance inf ||a - u b u*||, with a unitary attaining it.
 
-    Hermitian pairs (Weyl) and unitary pairs (Bhatia-Davis) have orbit
-    distance equal to the matching distance delta of their spectra, attained
-    by aligning the eigenbases (`eigh`, resp. complex Schur) along an optimal
-    matching.  `certificate_gap` is value - delta, and `converged` certifies
-    that gap <= `tol`; a value below delta beyond rounding raises.
+    Every pair starts from the aligned closed form: the eigenbases (`eigh`
+    for Hermitian pairs, complex Schur otherwise) aligned along an optimal
+    bottleneck matching of the spectra give u = va P vb*, and its value
+    ||a - u b u*|| is an upper bound that equals the matching distance
+    delta up to rounding.  The lower bound is delta itself for Hermitian
+    (Weyl) and unitary (Bhatia-Davis) pairs, where the orbit distance is
+    delta.  For other normal pairs it is max(h, delta / 2.91), with h the
+    Hausdorff distance of the spectra (a unit eigenvector x of a with
+    eigenvalue lam gives ||a - u b u*|| >= dist(lam, sigma(b))) and 2.91
+    the Bhatia-Davis-Koosis constant; their orbit distance can drop below
+    delta.  `certificate_gap` is value - lower_bound and `converged`
+    certifies that gap <= `tol`.
 
-    All other pairs, such as general normal ones whose orbit distance can
-    drop below delta, run multi-start descent over the unitary group: each
-    start follows the negative gradient in the skew-Hermitian
-    parametrisation with Armijo backtracking until the gradient norm falls
-    below `tol`.  Starts that stop making progress (the operator norm is
-    only subdifferentiable at singular-value ties) are frozen after
-    `PATIENCE` stagnant iterations and simply keep their best value.  The
-    best value across starts is an upper bound reported with its unitary;
-    `converged` records whether that start met the gradient tolerance.
-    `seed` draws the random starts.
+    Only normal pairs whose gap stays open run multi-start descent over the
+    unitary group (`_descend`, with the aligned unitary among its starts;
+    `seed` draws the random ones).  Descent stops once it closes the gap,
+    and its value replaces the aligned one only when lower.  A value below
+    the lower bound beyond rounding raises.
     """
     na, nb = _as_normal(a), _as_normal(b)
     if na.n != nb.n:
@@ -376,34 +369,58 @@ def unitary_distance(a, b, tol: float = 1e-8, *, seed: int = 0) -> UnitaryDistan
     hermitian = na.is_hermitian and nb.is_hermitian
     if hermitian:
         (la, va), (lb, vb) = np.linalg.eigh(na.array), np.linalg.eigh(nb.array)
-    elif na.is_unitary and nb.is_unitary:
-        (la, va), (lb, vb) = na.eigenbasis(), nb.eigenbasis()
     else:
-        return _descend(na, nb, tol, seed)
-    delta, perm = _bottleneck_from_matrix(_distance_matrix(la, lb))
+        (la, va), (lb, vb) = na.eigenbasis(), nb.eigenbasis()
+    dist = _distance_matrix(la, lb)
+    delta, perm = _bottleneck_from_matrix(dist)
     u = va @ vb[:, perm].conj().T
     value = operator_norm(na.array - u @ nb.array @ u.conj().T)
-    if value < delta - 1e-7:
-        raise RuntimeError(f"numerical fault: orbit value {value} fell below the "
-                           f"spectral matching lower bound {delta}")
+    start_index, n_starts, iterations = 0, 1, 0
+    if hermitian or (na.is_unitary and nb.is_unitary):
+        lower = delta
+    else:
+        hausdorff = float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
+        lower = max(hausdorff, delta / BDK_CONSTANT)
+        if value - lower > tol:
+            found, best_u, start_index, n_starts, iterations = _descend(
+                na, nb, u, lower + tol, tol, seed)
+            if found < value:
+                value, u = found, best_u
+            else:
+                start_index = n_starts - 1
+    if value < lower - 1e-7:
+        raise RuntimeError(f"numerical fault: orbit value {value} fell below its "
+                           f"lower bound {lower}")
     return UnitaryDistanceResult(
         value=value,
         unitary=u,
-        grad_norm=None,
-        converged=value - delta <= tol,
-        start_index=0, n_starts=1, iterations=0,
-        hermitian_lower_bound=delta if hermitian else None,
-        certificate_gap=value - delta,
+        lower_bound=lower,
+        certificate_gap=value - lower,
+        converged=value - lower <= tol,
+        start_index=start_index, n_starts=n_starts, iterations=iterations,
     )
 
 
-def _descend(na: NormalMatrix, nb: NormalMatrix, tol: float,
-             seed: int) -> UnitaryDistanceResult:
-    """Multi-start descent for the pairs `unitary_distance` has no closed form for."""
+def _descend(na: NormalMatrix, nb: NormalMatrix, aligned: np.ndarray, target: float,
+             tol: float, seed: int) -> tuple[float, np.ndarray, int, int, int]:
+    """Multi-start descent on u -> ||a - u b u*|| from the battery of
+    `_starting_unitaries` plus the `aligned` unitary, which comes last.
+
+    Each start follows the negative gradient in the skew-Hermitian
+    parametrisation with Armijo backtracking.  The operator norm is only
+    subdifferentiable at singular-value ties, so a start freezes when its
+    gradient norm falls below `tol`, its step collapses, or it makes no
+    progress for `PATIENCE` iterations; starts parked at the value of a
+    stationary one freeze too, and all stop once some value reaches
+    `target`.  Stationarity is no certificate: the caller judges the value
+    by its lower bound alone.
+    Returns (value, unitary, start index, number of starts, iterations) of
+    the lowest value found.
+    """
     amat, bmat = na.array, nb.array
-    u = _starting_unitaries(na, nb, seed)
+    u = np.concatenate([_starting_unitaries(na, nb, seed), aligned[None]])
     s = u.shape[0]
-    # a value of (numerically) zero certifies a global minimum outright; the
+    # a value of (numerically) zero is a global minimum outright; the
     # svd-based gradient is meaningless on the zero matrix
     value_floor = 1e-13 * (1.0 + operator_norm(amat))
 
@@ -418,7 +435,7 @@ def _descend(na: NormalMatrix, nb: NormalMatrix, tol: float,
     stagnant = np.zeros(s, dtype=int)
     iterations = 0
 
-    while not frozen.all() and iterations < MAX_ITER:
+    while not frozen.all() and iterations < MAX_ITER and values.min() > target:
         iterations += 1
         active = np.flatnonzero(~frozen)
         g = grads[active]
@@ -451,27 +468,13 @@ def _descend(na: NormalMatrix, nb: NormalMatrix, tol: float,
         grad_norms[active] = _norms(grads_a, vals_a)
         frozen[active] = ((grad_norms[active] < tol) | (step[active] < 1e-14)
                           | (stagnant[active] >= PATIENCE))
-        converged_vals = values[frozen & (grad_norms < tol)]
-        if converged_vals.size:
-            # starts parked at a value some start already certified are duplicates
-            vbest = float(converged_vals.min())
+        stationary = values[frozen & (grad_norms < tol)]
+        if stationary.size:
+            vbest = float(stationary.min())
             frozen |= np.abs(values - vbest) <= 1e-9 * (1.0 + abs(vbest))
 
-    # among starts within rounding of the best value, prefer one that met the
-    # gradient tolerance; ties break by start index
-    vmin = float(values.min())
-    near = np.flatnonzero(values <= vmin + max(1e-12, 1e-9 * abs(vmin)))
-    near_converged = near[grad_norms[near] < tol]
-    best = int(near_converged[0]) if near_converged.size else int(near[0])
-    return UnitaryDistanceResult(
-        value=float(values[best]),
-        unitary=u[best],
-        grad_norm=float(grad_norms[best]),
-        converged=bool(grad_norms[best] < tol),
-        start_index=best,
-        n_starts=s,
-        iterations=iterations,
-    )
+    best = int(np.argmin(values))
+    return float(values[best]), u[best], best, s, iterations
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,12 @@ class TestDeterminism:
         (["sample", "--p", "0.55", "--barrier", "absorbing", "--start", "4", "--scheme",
           "barycenter", "--trials", "100", "--horizon", "1200", "--seed", "2"],
          "503c3fbc653c3ab966e5687a8865c45cdd5170845a8a96261a9ef068fde67d84"),
+        # recorded before normal pairs moved to the aligned closed form, which
+        # leaves Hermitian and unitary results bitwise unchanged
+        (["weyl", "--n", "4", "--trials", "20", "--ensemble", "hermitian", "--seed", "3"],
+         "69a904ed8905097560f1dc0f9d253c9d41698aa67b6984eefb8d89005e511360"),
+        (["weyl", "--n", "5", "--trials", "20", "--ensemble", "unitary", "--seed", "3"],
+         "c18e6487e954249e385f288b7cd886bc6df1c0fd974098d8af943d94a0d51523"),
     ])
     def test_reports_match_recorded_digests(self, tmp_path, monkeypatch, argv_stub, digest):
         # the config line records --output, so every run writes the same name

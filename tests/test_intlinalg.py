@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,6 +47,49 @@ def is_divisibility_chain(diag):
     return True
 
 
+# I - A^T for a Cuntz-Krieger matrix A with about two ones per row (n = 32,
+# |det| = 328): "1" is 1, "-" is -1, "." is 0.  Swap-and-restart pivoting
+# grew its entries past 9 Mbit and ran for minutes.
+CK32 = (
+    "1....................-..........",
+    ".1..............................",
+    "..1.......................-....-",
+    "...1................-...........",
+    "....1............-............--",
+    ".....1......................-...",
+    "......1.........................",
+    ".......1..-.............-....--.",
+    "........1...--.-................",
+    "...--....1.....-........-......-",
+    "..........1.....-..........-.-..",
+    "....-....-.1..........-.....-...",
+    "..........-.1-.-.-.--.-.........",
+    "-.......-....1..................",
+    "..........-...1.......-.........",
+    "..-.-..........1.......-.-......",
+    ".-......-.......1-.......-......",
+    ".-...-.-....-..-.1.....-........",
+    "..................1...--........",
+    "..............-.-..1..-.........",
+    "....................1...........",
+    "........-.........-..1..........",
+    "......................1.--......",
+    ".-...-............-....1....-...",
+    "...-.--..--.............1.......",
+    ".......-.-..............-1......",
+    "...............-..-.............",
+    ".-.........................1..-.",
+    "..-.............-......-....1...",
+    "..............-.............-1.-",
+    "....................-.-...-...1.",
+    "...-...........-....-...--.....1",
+)
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("Smith form ran past its time budget")
+
+
 class TestSmithNormalForm:
     def test_identity(self):
         m = IntMatrix.identity(2)
@@ -78,7 +123,8 @@ class TestSmithNormalForm:
         assert snf.u @ m @ snf.v == snf.d
         assert abs(det_bareiss(snf.u)) == 1
         assert abs(det_bareiss(snf.v)) == 1
-        assert snf.d.is_diagonal()
+        assert all(snf.d.entry(i, j) == 0
+                   for i in range(m.rows) for j in range(m.cols) if i != j)
         assert is_divisibility_chain(snf.d.diagonal())
 
     @settings(max_examples=150, deadline=None)
@@ -125,6 +171,22 @@ class TestSmithNormalForm:
         assert (cokernel(m), kernel_rank(m), rank(m)) == (FGAbelianGroup(0, (2, 6, 12)), 0, 3)
         assert snf.d.diagonal() == (2, 6, 12)
         assert len(calls) == 1
+
+    def test_entries_stay_small_on_a_sparse_cuntz_krieger_matrix(self):
+        m = IntMatrix.from_rows([[{"1": 1, "-": -1, ".": 0}[c] for c in row] for row in CK32])
+        previous = signal.signal(signal.SIGALRM, _alarm)
+        signal.alarm(10)
+        try:
+            snf = smith_normal_form(m)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert snf.u @ m @ snf.v == snf.d
+        assert is_unimodular(snf.u) and is_unimodular(snf.v)
+        assert cokernel(IntMatrix(m.rows, m.cols, m.entries)) == FGAbelianGroup.cyclic(328)
+        assert snf.d.diagonal() == (1,) * 31 + (328,)
+        assert max(abs(x).bit_length()
+                   for t in (snf.u, snf.d, snf.v) for row in t.entries for x in row) <= 64
 
 
 class TestCokernel:
