@@ -10,6 +10,11 @@ cuntz     K1-triviality and unit checks over a range of block sizes
 ktheory   six-term computations for the shift algebra and dimension drops
 summary   human-readable aggregates of a previously written report
 
+Every subcommand but summary takes `--config FILE`, a JSON object keyed by
+its flag names (`max_size` for `--max-size`); explicit flags win.  `--seed`,
+`--output` and `--format` are accepted everywhere (cuntz and ktheory ignore
+`--seed`); sample and simplex write JSON only and refuse `--format csv`.
+
 Reports start with a single timestamp header line prefixed '#'; everything
 after it is a pure function of the resolved configuration, so re-running
 with the same seed gives byte-identical output modulo that line.  JSON
@@ -51,7 +56,7 @@ from .transport import (
     random_unitary,
     unitary_distance,
 )
-from .walk import Barrier, InvalidParamsError, UnsupportedBarrierError, WalkParams, sample_trajectory
+from .walk import Barrier, WalkParams, sample_trajectory
 
 _SCHEMES = {s.value: s for s in MeasureScheme}
 _BARRIERS = {b.value: b for b in Barrier}
@@ -83,30 +88,33 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _render_jsonl(config: dict, records: list[dict]) -> str:
-    lines = [f"# generated_at={datetime.now(timezone.utc).isoformat()}"]
-    lines.append(json.dumps({"config": config}, sort_keys=True))
-    lines.extend(json.dumps(r, sort_keys=True) for r in records)
-    return "\n".join(lines) + "\n"
+def _render(config: dict, records: list, columns: tuple | None) -> str:
+    """Report text: JSON-lines, or CSV with `columns` when they are given.
 
-
-def _render_csv(config: dict, header: list[str], rows: list[list]) -> str:
+    A string record is an encoded JSON line and is written as it is.  The
+    CSV rows are the records holding the first column's key; a missing or
+    None value is written empty and a bool as 0/1.
+    """
+    stamp = f"# generated_at={datetime.now(timezone.utc).isoformat()}\n"
+    if columns is None:
+        lines = [json.dumps({"config": config}, sort_keys=True)]
+        lines += [r if isinstance(r, str) else json.dumps(r, sort_keys=True) for r in records]
+        return stamp + "\n".join(lines) + "\n"
     buf = io.StringIO()
-    buf.write(f"# generated_at={datetime.now(timezone.utc).isoformat()}\n")
-    buf.write(f"# config={json.dumps(config, sort_keys=True)}\n")
+    buf.write(f"{stamp}# config={json.dumps(config, sort_keys=True)}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerow(columns)
+    writer.writerows([int(v) if isinstance(v, bool) else v for v in map(rec.get, columns)]
+                     for rec in records if columns[0] in rec)
     return buf.getvalue()
 
 
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     """Resolved configuration: defaults < config file < explicit flags."""
     merged = dict(defaults)
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
+    if args.config:
         try:
-            with open(cfg_path) as handle:
+            with open(args.config) as handle:
                 file_cfg = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}")
@@ -115,36 +123,36 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         merged.update(file_cfg)
     for key in defaults:
-        flag_val = getattr(args, key, None)
+        flag_val = getattr(args, key)
         if flag_val is not None:
             merged[key] = flag_val
     return merged
 
 
-def _walk_params(cfg: dict) -> WalkParams:
-    barrier = _BARRIERS.get(cfg["barrier"])
-    if barrier is None:
-        raise ConfigError(f"barrier must be one of {sorted(_BARRIERS)}")
-    initial = cfg.get("initial")
+def _walk_params(cfg: dict) -> tuple[WalkParams, dict]:
+    """The walk of a configuration, and the configuration with `initial`
+    and `q` resolved as the report records them."""
+    if cfg["p"] is None:
+        raise ConfigError("--p is required")
+    barrier = _choice(cfg, "barrier", _BARRIERS)
+    initial = cfg["initial"]
     if initial is None:
         initial = ((int(cfg["start"]), 1.0),)
     else:
         if isinstance(initial, str):
             initial = json.loads(initial)
         initial = tuple((int(s), float(w)) for s, w in initial)
-    q = cfg.get("q")
-    try:
-        return WalkParams(p=float(cfg["p"]), q=None if q is None else float(q),
-                          barrier=barrier, initial=initial)
-    except InvalidParamsError as exc:
-        raise ConfigError(str(exc))
+    q = cfg["q"]
+    params = WalkParams(p=float(cfg["p"]), q=None if q is None else float(q),
+                        barrier=barrier, initial=initial)
+    return params, {**cfg, "initial": [[s, w] for s, w in params.initial], "q": params.q}
 
 
-def _scheme(cfg: dict) -> MeasureScheme:
-    scheme = _SCHEMES.get(cfg["scheme"])
-    if scheme is None:
-        raise ConfigError(f"scheme must be one of {sorted(_SCHEMES)}")
-    return scheme
+def _choice(cfg: dict, key: str, table: dict):
+    value = table.get(cfg[key])
+    if value is None:
+        raise ConfigError(f"{key} must be one of {sorted(table)}")
+    return value
 
 
 def _positive_int(cfg: dict, key: str) -> int:
@@ -155,56 +163,33 @@ def _positive_int(cfg: dict, key: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommand implementations: resolved configuration -> (configuration to
+# record, records, exit status)
 # ---------------------------------------------------------------------------
 
-def _cmd_walk(args) -> int:
-    defaults = {"p": None, "q": None, "barrier": "reflecting", "start": 0,
-                "initial": None, "length": 100, "trials": 1, "seed": 0,
-                "output": "walk_report.jsonl", "format": "json"}
-    cfg = _merge_config(args, defaults)
-    if cfg["p"] is None:
-        raise ConfigError("--p is required")
-    params = _walk_params(cfg)
+def _cmd_walk(cfg: dict):
+    params, cfg = _walk_params(cfg)
     trials = _positive_int(cfg, "trials")
     length = _positive_int(cfg, "length")
     seed = int(cfg["seed"])
 
-    records, rows = [], []
-    hits = 0
+    records = []
     for t in range(trials):
         traj = sample_trajectory(params, length, seed, trial=t)
         try:
             hit_step = traj.states.index(0, 1)
         except ValueError:
             hit_step = None
-        hits += hit_step is not None
-        rec = {"trial": t, "start": traj.states[0], "hit_zero_step": hit_step,
-               "max_state": traj.max_state, "final_state": traj.states[-1]}
-        records.append(rec)
-        rows.append([t, traj.states[0], "" if hit_step is None else hit_step,
-                     traj.max_state, traj.states[-1]])
-    records.append({"summary": True, "trials": trials,
-                    "frequency_hit_zero": hits / trials})
-    resolved = {**cfg, "initial": [[s, w] for s, w in params.initial], "q": params.q}
-    if cfg["format"] == "csv":
-        text = _render_csv(resolved, ["trial", "start", "hit_zero_step", "max_state", "final_state"], rows)
-    else:
-        text = _render_jsonl(resolved, records)
-    _atomic_write(cfg["output"], text)
-    return 0
+        records.append({"trial": t, "start": traj.states[0], "hit_zero_step": hit_step,
+                        "max_state": traj.max_state, "final_state": traj.states[-1]})
+    hits = sum(rec["hit_zero_step"] is not None for rec in records)
+    records.append({"summary": True, "trials": trials, "frequency_hit_zero": hits / trials})
+    return cfg, records, 0
 
 
-def _cmd_sample(args) -> int:
-    defaults = {"p": None, "q": None, "barrier": "reflecting", "start": 0,
-                "initial": None, "scheme": "barycenter", "trials": 1000,
-                "horizon": 1000, "seed": 0, "output": "sample_report.jsonl",
-                "format": "json"}
-    cfg = _merge_config(args, defaults)
-    if cfg["p"] is None:
-        raise ConfigError("--p is required")
-    params = _walk_params(cfg)
-    scheme = _scheme(cfg)
+def _cmd_sample(cfg: dict):
+    params, cfg = _walk_params(cfg)
+    scheme = _choice(cfg, "scheme", _SCHEMES)
     trials = _positive_int(cfg, "trials")
     horizon = _positive_int(cfg, "horizon")
     seed = int(cfg["seed"])
@@ -219,52 +204,34 @@ def _cmd_sample(args) -> int:
         "finiteness": descriptor.finiteness.value,
         "trace_space": str(descriptor.trace_space),
     }
-    resolved = {**cfg, "initial": [[s, w] for s, w in params.initial], "q": params.q}
-    _atomic_write(cfg["output"], _render_jsonl(resolved, [record]))
-    return 0
+    return cfg, [record], 0
 
 
-def _cmd_simplex(args) -> int:
-    defaults = {"p": None, "q": None, "barrier": "reflecting", "start": 0,
-                "initial": None, "scheme": "barycenter", "horizon": 100,
-                "seed": 0, "output": "tower.jsonl", "format": "json"}
-    cfg = _merge_config(args, defaults)
-    if cfg["p"] is None:
-        raise ConfigError("--p is required")
-    params = _walk_params(cfg)
-    scheme = _scheme(cfg)
+def _cmd_simplex(cfg: dict):
+    params, cfg = _walk_params(cfg)
+    scheme = _choice(cfg, "scheme", _SCHEMES)
     horizon = _positive_int(cfg, "horizon")
     seed = int(cfg["seed"])
 
-    traj = sample_trajectory(params, horizon + 1, seed)
-    states = traj.states
+    states = sample_trajectory(params, horizon + 1, seed).states
     if params.barrier is Barrier.ABSORBING and 0 in states:
         states = states[: states.index(0) + 1]
     if len(states) < 2:
         raise ConfigError("trajectory too short to build a tower (absorbed immediately)")
     tower = build_tower(list(states), scheme, mix64(seed, 1))
-    resolved = {**cfg, "initial": [[s, w] for s, w in params.initial], "q": params.q}
     # to_json is already sorted-key JSON, so splicing it gives the bytes of
     # json.dumps({"tower": ...}, sort_keys=True) without a decode and re-encode
-    text = _render_jsonl(resolved, []) + '{"tower": ' + tower.to_json() + "}\n"
-    _atomic_write(cfg["output"], text)
-    return 0
+    return cfg, ['{"tower": ' + tower.to_json() + "}"], 0
 
 
-def _cmd_weyl(args) -> int:
-    defaults = {"n": 4, "trials": 100, "seed": 0, "ensemble": "hermitian",
-                "tol": 1e-8, "output": "weyl_report.csv", "format": "csv"}
-    cfg = _merge_config(args, defaults)
+def _cmd_weyl(cfg: dict):
     n = _positive_int(cfg, "n")
     trials = _positive_int(cfg, "trials")
     seed = int(cfg["seed"])
     tol = float(cfg["tol"])
-    make = _ENSEMBLES.get(cfg["ensemble"])
-    if make is None:
-        raise ConfigError(f"ensemble must be one of {sorted(_ENSEMBLES)}")
+    make = _choice(cfg, "ensemble", _ENSEMBLES)
 
-    rows, records = [], []
-    any_flag = False
+    records = []
     for t in range(trials):
         rng = stream(seed, t)
         a, b = make(n, rng), make(n, rng)
@@ -273,65 +240,74 @@ def _cmd_weyl(args) -> int:
         else:
             delta = matching_distance(a.spectrum(), b.spectrum())
         res = unitary_distance(a, b, tol, seed=mix64(seed, t))
-        any_flag |= not res.converged
-        gap = res.value - delta
-        rows.append([t, repr(delta), repr(res.value), repr(gap), int(res.converged)])
         records.append({"trial": t, "delta": delta, "d_u": res.value,
-                        "gap": gap, "converged": res.converged})
-    if cfg["format"] == "csv":
-        text = _render_csv(cfg, ["trial", "delta", "d_u", "gap", "converged"], rows)
-    else:
-        text = _render_jsonl(cfg, records)
-    _atomic_write(cfg["output"], text)
-    return 3 if any_flag else 0
+                        "gap": res.value - delta, "converged": res.converged})
+    return cfg, records, 0 if all(rec["converged"] for rec in records) else 3
 
 
-def _cmd_cuntz(args) -> int:
-    defaults = {"max_size": 10, "output": "cuntz_report.jsonl", "format": "json"}
-    cfg = _merge_config(args, defaults)
+def _cmd_cuntz(cfg: dict):
     max_size = _positive_int(cfg, "max_size")
-
-    records, rows = [], []
-    for p in range(1, max_size + 1):
-        for q in range(p, max_size + 1):
-            m0, m1 = cuntz_mod.dimension_drop_boundary_maps(p, q)
-            unit = cuntz_mod.dimension_drop_unit(p, q)
-            rec = {"p": p, "q": q, "gcd": math.gcd(p, q),
-                   "k1_trivial": cuntz_mod.k1_trivial(m0, m1),
-                   "unit_check": cuntz_mod.nccw_check(unit)}
-            records.append(rec)
-            rows.append([p, q, rec["gcd"], int(rec["k1_trivial"]), int(rec["unit_check"])])
+    records = [{"p": p, "q": q, "gcd": math.gcd(p, q),
+                "k1_trivial": cuntz_mod.k1_trivial(*cuntz_mod.dimension_drop_boundary_maps(p, q)),
+                "unit_check": cuntz_mod.nccw_check(cuntz_mod.dimension_drop_unit(p, q))}
+               for p in range(1, max_size + 1) for q in range(p, max_size + 1)]
     half = cuntz_mod.LscStep.indicator(0, Fraction(1, 2))
     records.append({"dim_function_half_indicator": str(cuntz_mod.dim_function(half))})
-    if cfg["format"] == "csv":
-        text = _render_csv(cfg, ["p", "q", "gcd", "k1_trivial", "unit_check"], rows)
-    else:
-        text = _render_jsonl(cfg, records)
-    _atomic_write(cfg["output"], text)
-    return 0
+    return cfg, records, 0
 
 
-def _cmd_ktheory(args) -> int:
-    defaults = {"max_size": 12, "output": "ktheory_report.jsonl", "format": "json"}
-    cfg = _merge_config(args, defaults)
+def _cmd_ktheory(cfg: dict):
     max_size = _positive_int(cfg, "max_size")
-
     k0, k1 = ktheory_mod.k_toeplitz()
     records = [{"model": "toeplitz", "k0": str(k0), "k1": str(k1),
                 "index_of_shift": ktheory_mod.toeplitz_index_of_shift()}]
-    rows = [["toeplitz", "", "", str(k0), str(k1)]]
     for p in range(1, max_size + 1):
         for q in range(p, max_size + 1):
             g0, g1 = ktheory_mod.k_dimension_drop(p, q)
             records.append({"model": "dimension_drop", "p": p, "q": q,
                             "k0": str(g0), "k1": str(g1)})
-            rows.append(["dimension_drop", p, q, str(g0), str(g1)])
-    if cfg["format"] == "csv":
-        text = _render_csv(cfg, ["model", "p", "q", "k0", "k1"], rows)
-    else:
-        text = _render_jsonl(cfg, records)
-    _atomic_write(cfg["output"], text)
-    return 0
+    return cfg, records, 0
+
+
+_WALK = {"p": None, "q": None, "barrier": "reflecting", "start": 0, "initial": None}
+
+#: name -> (handler, help, default configuration, CSV columns or None for
+#: JSON-lines only); the default keys are the subcommand's flags and
+#: config-file keys
+_COMMANDS = {
+    "walk": (_cmd_walk, "simulate trajectories",
+             {**_WALK, "length": 100, "trials": 1, "seed": 0,
+              "output": "walk_report.jsonl", "format": "json"},
+             ("trial", "start", "hit_zero_step", "max_state", "final_state")),
+    "sample": (_cmd_sample, "estimate the return-to-zero proxy",
+               {**_WALK, "scheme": "barycenter", "trials": 1000, "horizon": 1000, "seed": 0,
+                "output": "sample_report.jsonl", "format": "json"},
+               None),
+    "simplex": (_cmd_simplex, "build and archive a collapse tower",
+                {**_WALK, "scheme": "barycenter", "horizon": 100, "seed": 0,
+                 "output": "tower.jsonl", "format": "json"},
+                None),
+    "weyl": (_cmd_weyl, "matching vs orbit distance table",
+             {"n": 4, "ensemble": "hermitian", "tol": 1e-8, "trials": 100, "seed": 0,
+              "output": "weyl_report.csv", "format": "csv"},
+             ("trial", "delta", "d_u", "gap", "converged")),
+    "cuntz": (_cmd_cuntz, "K1-triviality / unit checks over block sizes",
+              {"max_size": 10, "output": "cuntz_report.jsonl", "format": "json"},
+              ("p", "q", "gcd", "k1_trivial", "unit_check")),
+    "ktheory": (_cmd_ktheory, "six-term computations",
+                {"max_size": 12, "output": "ktheory_report.jsonl", "format": "json"},
+                ("model", "p", "q", "k0", "k1")),
+}
+
+#: argparse keywords of each configuration key's flag
+_FLAGS = {
+    "output": {}, "initial": {"help": "JSON list of [state, weight] pairs"},
+    "format": {"choices": ["json", "csv"]}, "barrier": {"choices": sorted(_BARRIERS)},
+    "scheme": {"choices": sorted(_SCHEMES)}, "ensemble": {"choices": sorted(_ENSEMBLES)},
+    **dict.fromkeys(["p", "q", "tol"], {"type": float}),
+    **dict.fromkeys(["seed", "start", "n", "max_size", "length", "trials", "horizon"],
+                    {"type": int}),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -405,64 +381,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cstarlab", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, *, scheme=False, walk=False, matrix=False, sizes=False):
+    for name, (_, help_text, defaults, _) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="JSON config file; explicit flags win")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--output")
-        sp.add_argument("--format", choices=["json", "csv"])
-        if walk:
-            sp.add_argument("--p", type=float)
-            sp.add_argument("--q", type=float)
-            sp.add_argument("--barrier", choices=sorted(_BARRIERS))
-            sp.add_argument("--start", type=int)
-            sp.add_argument("--initial", help="JSON list of [state, weight] pairs")
-        if scheme:
-            sp.add_argument("--scheme", choices=sorted(_SCHEMES))
-        if matrix:
-            sp.add_argument("--n", type=int)
-            sp.add_argument("--ensemble", choices=sorted(_ENSEMBLES))
-            sp.add_argument("--tol", type=float)
-        if sizes:
-            sp.add_argument("--max-size", dest="max_size", type=int)
-
-    sp = sub.add_parser("walk", help="simulate trajectories")
-    common(sp, walk=True)
-    sp.add_argument("--length", type=int)
-    sp.add_argument("--trials", type=int)
-
-    sp = sub.add_parser("sample", help="estimate the return-to-zero proxy")
-    common(sp, walk=True, scheme=True)
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--horizon", type=int)
-
-    sp = sub.add_parser("simplex", help="build and archive a collapse tower")
-    common(sp, walk=True, scheme=True)
-    sp.add_argument("--horizon", type=int)
-
-    sp = sub.add_parser("weyl", help="matching vs orbit distance table")
-    common(sp, matrix=True)
-    sp.add_argument("--trials", type=int)
-
-    sp = sub.add_parser("cuntz", help="K1-triviality / unit checks over block sizes")
-    common(sp, sizes=True)
-
-    sp = sub.add_parser("ktheory", help="six-term computations")
-    common(sp, sizes=True)
-
+        # --seed is accepted everywhere, also where no configuration uses it
+        for key in dict.fromkeys(["seed", "output", "format", *defaults]):
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, **_FLAGS[key])
     sp = sub.add_parser("summary", help="summarise a report file")
     sp.add_argument("path")
     return parser
-
-
-_HANDLERS = {
-    "walk": _cmd_walk,
-    "sample": _cmd_sample,
-    "simplex": _cmd_simplex,
-    "weyl": _cmd_weyl,
-    "cuntz": _cmd_cuntz,
-    "ktheory": _cmd_ktheory,
-}
 
 
 def run(argv: list[str]) -> int:
@@ -474,9 +401,17 @@ def run(argv: list[str]) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     if args.command == "summary":
         return report_summary(args.path)
+    handler, _, defaults, columns = _COMMANDS[args.command]
     try:
-        return _HANDLERS[args.command](args)
-    except (ConfigError, InvalidParamsError, UnsupportedBarrierError, ValueError) as exc:
+        cfg = _merge_config(args, defaults)
+        if cfg["format"] != "csv":
+            columns = None
+        elif columns is None:
+            raise ConfigError(f"{args.command} writes JSON-lines reports only, not csv")
+        config, records, status = handler(cfg)
+        _atomic_write(cfg["output"], _render(config, records, columns))
+        return status
+    except ValueError as exc:
         _error_record(str(exc))
         return 2
 

@@ -14,10 +14,10 @@ Three layers:
 
 `k1_trivial` decides triviality of K1 for such a pullback: it is
 equivalent to surjectivity of M0 - M1 over the integers, read off the
-Smith normal form.  `cu_jiang_su` builds elements of the two-sheet monoid
-N_0 |_| (0, oo] (compact classes and soft classes with a value), with the
-standard order in which a soft element never dominates the compact element
-of the same value.
+Smith normal form.  `CuJiangSu` is the two-sheet monoid N_0 |_| (0, oo]
+(compact classes and soft classes with a value, built by `compact` and
+`soft`), with the standard order in which a soft element never dominates
+the compact element of the same value.
 """
 
 from __future__ import annotations
@@ -56,10 +56,6 @@ class ExtNat:
         if self.value is not None:
             if not isinstance(self.value, int) or isinstance(self.value, bool) or self.value < 0:
                 raise ValueError(f"ExtNat wants a nonnegative int or None, got {self.value!r}")
-
-    @classmethod
-    def infinity(cls) -> "ExtNat":
-        return cls(None)
 
     @property
     def is_infinite(self) -> bool:
@@ -228,12 +224,6 @@ class LscStep:
                 return self.interval_values[i]
         return self.interval_values[-1]
 
-    def at_zero(self) -> ExtNat:
-        return self.left_value
-
-    def at_one(self) -> ExtNat:
-        return self.right_value
-
 
 def _zip_regions(f: LscStep, g: LscStep):
     """Yield (f_value, g_value) over the common refinement of [0, 1]: the
@@ -341,8 +331,8 @@ class CuNccwElement:
 
 def nccw_check(e: CuNccwElement) -> bool:
     """True iff f(0) = M0 v and f(1) = M1 v hold component-wise."""
-    at0 = tuple(comp.at_zero() for comp in e.f)
-    at1 = tuple(comp.at_one() for comp in e.f)
+    at0 = tuple(comp.left_value for comp in e.f)
+    at1 = tuple(comp.right_value for comp in e.f)
     return at0 == ext_matvec(e.m0, e.v) and at1 == ext_matvec(e.m1, e.v)
 
 
@@ -457,10 +447,6 @@ class CuJiangSu:
         return CuJiangSu.soft(self.value + other.value)
 
     def __le__(self, other: "CuJiangSu") -> bool:
-        if self.is_compact and other.is_compact:
-            return self.value <= other.value
-        if not self.is_compact and other.is_compact:
-            return self.value <= other.value
         if self.is_compact and not other.is_compact:
             return self.value == 0 or self.value < other.value
         return self.value <= other.value
@@ -473,7 +459,3 @@ class CuJiangSu:
             return f"[{self.value}]"
         return f"soft({'inf' if self.value == math.inf else self.value})"
 
-
-def cu_jiang_su(kind: str, value) -> CuJiangSu:
-    """Factory matching the two-sheet presentation: kind 'compact' or 'soft'."""
-    return CuJiangSu(kind, value)

@@ -13,6 +13,14 @@ from cstarlab.simplex import MeasureScheme, SimplexTower, build_tower
 from cstarlab.walk import WalkParams, sample_trajectory
 
 
+# reports holding a flagged weyl row: a normal pair whose certificate gap
+# stays open, or a tolerance below rounding
+FLAGGED_EXIT = {
+    "550c349715b92d832262cfb7552c0ff97b2369432ad04041ff97be1ef4eb1a21": 3,
+    "fc0ee5973a09743b41f87cdb653c4f540560d0e7803ac108f52c5bb5692d7de2": 3,
+}
+
+
 def strip_header(path):
     with open(path) as handle:
         return [ln for ln in handle if not ln.startswith("#")]
@@ -68,11 +76,34 @@ class TestDeterminism:
          "69a904ed8905097560f1dc0f9d253c9d41698aa67b6984eefb8d89005e511360"),
         (["weyl", "--n", "5", "--trials", "20", "--ensemble", "unitary", "--seed", "3"],
          "c18e6487e954249e385f288b7cd886bc6df1c0fd974098d8af943d94a0d51523"),
+        # recorded before the subcommands shared one option table and renderer
+        (["walk", "--p", "0.6", "--start", "1", "--length", "200", "--trials", "50", "--seed", "41"],
+         "ee81f90a3c17b5a67ac7d7e85b718358bbca8fac9c6bdddb5852d10313a168ca"),
+        (["walk", "--p", "0.6", "--start", "1", "--length", "200", "--trials", "50", "--seed", "41",
+          "--format", "csv"],
+         "540c1c1a78436c24fff62e6526cd920468687ccc82389f9ebc296fe2a88db9b8"),
+        (["walk", "--config", "walk.json", "--p", "0.45"],
+         "e8b5c93349e483ae7f43a2aa28689b4cb080570648d5d465ec2f64ac94e5bccc"),
+        (["weyl", "--n", "4", "--trials", "20", "--ensemble", "normal", "--seed", "3",
+          "--format", "csv"],
+         "550c349715b92d832262cfb7552c0ff97b2369432ad04041ff97be1ef4eb1a21"),
+        (["weyl", "--n", "3", "--trials", "4", "--seed", "2", "--tol", "1e-30"],
+         "fc0ee5973a09743b41f87cdb653c4f540560d0e7803ac108f52c5bb5692d7de2"),
+        (["cuntz", "--max-size", "8"],
+         "93d23cd8f9b2322431506004948d92546da78ebe45dd1763601e2dadc8203f87"),
+        (["cuntz", "--max-size", "8", "--format", "csv"],
+         "bcfcad06e9e16e59c6314d9adb9cc7ac8876591ca6b5f37bd917bc69ea3b2572"),
+        (["ktheory", "--max-size", "8"],
+         "16ad787c16196885e4f26d64a80ad81035849a29325c6180a69d4624a2871f96"),
+        (["ktheory", "--max-size", "8", "--format", "csv"],
+         "866149b9fab375d625b56a8c4610faa38b31a343b07fbef04c84fc8fa301eeed"),
     ])
     def test_reports_match_recorded_digests(self, tmp_path, monkeypatch, argv_stub, digest):
         # the config line records --output, so every run writes the same name
         monkeypatch.chdir(tmp_path)
-        assert run(argv_stub + ["--output", "report.jsonl"]) == 0
+        (tmp_path / "walk.json").write_text(json.dumps(
+            {"p": 0.3, "initial": [[1, 0.5], [4, 0.5]], "length": 120, "trials": 40, "seed": 8}))
+        assert run(argv_stub + ["--output", "report.jsonl"]) == FLAGGED_EXIT.get(digest, 0)
         with open("report.jsonl", "rb") as handle:
             body = b"".join(ln for ln in handle if not ln.startswith(b"# generated_at="))
         assert hashlib.sha256(body).hexdigest() == digest
@@ -115,6 +146,33 @@ class TestValidation:
                   "--tol", "1e-30", "--output", str(out)])
         assert rc == 3
         assert out.exists()
+
+    # exact stderr records, recorded before the subcommands shared one option table
+    @pytest.mark.parametrize("argv, error", [
+        (["simplex", "--horizon", "10"], "--p is required"),
+        (["weyl", "--n", "3", "--trials", "0"], "trials must be >= 1"),
+        (["cuntz", "--config", "cfg.json"], "unknown config keys: ['seed']"),
+    ])
+    def test_invalid_config_error_record(self, tmp_path, monkeypatch, capsys, argv, error):
+        # cuntz accepts --seed as a flag and ignores it, but not as a config key
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"max_size": 3, "seed": 1}))
+        assert run(argv + ["--output", "r.out"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == json.dumps({"error": error}) + "\n"
+        assert captured.out == ""
+        assert not (tmp_path / "r.out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--p", "0.4", "--trials", "20", "--horizon", "20"],
+        ["simplex", "--p", "0.7", "--horizon", "20"],
+    ])
+    def test_json_only_commands_refuse_csv(self, tmp_path, capsys, argv):
+        out = tmp_path / "r.csv"
+        assert run(argv + ["--format", "csv", "--output", str(out)]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert argv[0] in error and "csv" in error
+        assert not out.exists()
 
     def test_no_report_written_on_validation_failure(self, tmp_path):
         out = tmp_path / "x.jsonl"

@@ -16,7 +16,6 @@ from cstarlab.cuntz import (
     NotIncreasingError,
     ShapeMismatchError,
     add_elements,
-    cu_jiang_su,
     dim_function,
     dimension_drop_boundary_maps,
     dimension_drop_unit,
@@ -332,14 +331,14 @@ class TestCuJiangSu:
         assert CuJiangSu.compact(2) + CuJiangSu.compact(3) == CuJiangSu.compact(5)
         assert CuJiangSu.soft(1) + CuJiangSu.soft(math.inf) == CuJiangSu.soft(math.inf)
 
-    def test_factory_and_validation(self):
-        assert cu_jiang_su("compact", 2) == CuJiangSu.compact(2)
+    def test_constructor_and_validation(self):
+        assert CuJiangSu("compact", 2) == CuJiangSu.compact(2)
         with pytest.raises(ValueError):
             CuJiangSu.soft(0)
         with pytest.raises(ValueError):
             CuJiangSu.compact(-1)
         with pytest.raises(ValueError):
-            cu_jiang_su("weird", 1)
+            CuJiangSu("weird", 1)
 
     def test_order_against_two_sheet_model(self):
         # frozen from the unique-trace picture: a compact class pairs to its
