@@ -20,8 +20,8 @@ after it is a pure function of the resolved configuration, so re-running
 with the same seed gives byte-identical output modulo that line.  JSON
 reports are JSON-lines (config record first); CSV reports carry the config
 in a second '#' header line.  Exit status: 0 success, 2 invalid
-configuration or unreadable input, 3 when numerical non-convergence flags
-are present in the report.
+configuration, unreadable input or unwritable output, 3 when numerical
+non-convergence flags are present in the report.
 """
 
 from __future__ import annotations
@@ -76,16 +76,21 @@ def _error_record(message: str) -> None:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write through a temporary file beside `path`; a path that cannot be
+    written raises ConfigError and leaves no temporary file behind."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write report: {exc}") from None
 
 
 def _render(config: dict, records: list, columns: tuple | None) -> str:
@@ -118,6 +123,8 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
                 file_cfg = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}")
+        if not isinstance(file_cfg, dict):
+            raise ConfigError("config file must hold a JSON object")
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -139,9 +146,14 @@ def _walk_params(cfg: dict) -> tuple[WalkParams, dict]:
     if initial is None:
         initial = ((int(cfg["start"]), 1.0),)
     else:
-        if isinstance(initial, str):
-            initial = json.loads(initial)
-        initial = tuple((int(s), float(w)) for s, w in initial)
+        try:
+            if isinstance(initial, str):
+                initial = json.loads(initial)
+            if not all(isinstance(pair, list) and len(pair) == 2 for pair in initial):
+                raise ValueError
+            initial = tuple((int(s), float(w)) for s, w in initial)
+        except (TypeError, ValueError):
+            raise ConfigError("initial must be a JSON list of [state, weight] pairs") from None
     q = cfg["q"]
     params = WalkParams(p=float(cfg["p"]), q=None if q is None else float(q),
                         barrier=barrier, initial=initial)

@@ -1,22 +1,20 @@
 """Spectral distances: optimal matching, unitary orbits, infinity-Wasserstein.
 
-Three routes to the same circle of quantities:
+Three routes to the same circle of quantities, on one threshold search
+whose probes are Dinic flows of integer supplies to integer demands:
 
 * `matching_distance` -- the bottleneck matching value between two
-  eigenvalue multisets, computed exactly by threshold binary search over
-  the pairwise distances, each threshold tested for a perfect matching by
-  maximum flow (`bottleneck_brute_force` is the small-n oracle kept for
-  verification);
+  eigenvalue multisets, all supplies one (`bottleneck_brute_force` is the
+  small-n oracle kept for verification);
 * `unitary_distance` -- the orbit distance inf_u ||a - u b u*|| between
   certified bounds, with a unitary attaining the upper one: eigenbases
   aligned along an optimal matching attain the matching distance delta,
-  which is exact for Hermitian (Weyl) and unitary (Bhatia-Davis) pairs;
-  for other normal pairs the spectra's Hausdorff distance and delta / 2.91
-  (Bhatia-Davis-Koosis) bound it below, and multi-start descent runs only
-  when that leaves a gap;
+  which is exact for Hermitian (Weyl: ascending spectra, no search) and
+  unitary (Bhatia-Davis) pairs; for other normal pairs the Hausdorff
+  distance and delta / 2.91 (Bhatia-Davis-Koosis) bound it below, and
+  multi-start descent runs only when that leaves a gap;
 * `wasserstein_inf` -- the bottleneck transport distance between discrete
-  measures with rational weights, computed exactly by expanding to a
-  common denominator and matching equal-weight atoms.
+  measures with rational weights, exact on atoms of integer mass w * D.
 
 For Hermitian and unitary pairs the first two agree, and the third reduces
 to the first on spectral counting measures; for general normal pairs the
@@ -80,41 +78,45 @@ def operator_norm(m: np.ndarray) -> float:
 # bottleneck matching
 # ---------------------------------------------------------------------------
 
-def _perfect_matching(adj: np.ndarray) -> np.ndarray | None:
-    """Row i matched to column perm[i] in a square boolean adjacency, or None.
+def _flow(adj: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> np.ndarray | None:
+    """A k x l integer flow on the edges of a boolean adjacency that ships
+    every row's supply to the columns' demands, or None.
 
-    Dinic's maximum flow (source -> rows -> columns -> sink) is O(E sqrt(V))
-    on every input, unlike scipy's `maximum_bipartite_matching`, which takes
-    tens of seconds on some threshold graphs of expanded equal-weight atoms."""
+    Dinic's maximum flow (source -> rows -> columns -> sink), a perfect
+    matching when all supplies and demands are one (scipy's
+    `maximum_bipartite_matching` took 57 s on a 1271-atom threshold graph)."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_flow
 
-    n = adj.shape[0]
+    k, l = adj.shape
+    sink = k + l + 1
     rows, cols = np.nonzero(adj)
-    tail = np.concatenate([np.zeros(n, dtype=np.intp), rows + 1, np.arange(n + 1, 2 * n + 1)])
-    head = np.concatenate([np.arange(1, n + 1), cols + n + 1, np.full(n, 2 * n + 1)])
-    network = csr_matrix((np.ones(tail.size, dtype=np.int32), (tail, head)),
-                         shape=(2 * n + 2, 2 * n + 2))
-    result = maximum_flow(network, 0, 2 * n + 1, method="dinic")
-    if result.flow_value < n:
+    tail = np.concatenate([np.zeros(k, dtype=np.intp), rows + 1, np.arange(k + 1, sink)])
+    head = np.concatenate([np.arange(1, k + 1), cols + k + 1, np.full(l, sink)])
+    capacity = np.concatenate([supply, np.minimum(supply[rows], demand[cols]), demand])
+    network = csr_matrix((capacity.astype(np.int32), (tail, head)), shape=(sink + 1, sink + 1))
+    result = maximum_flow(network, 0, sink, method="dinic")
+    if result.flow_value < supply.sum():
         return None
-    rows, cols = (result.flow[1:n + 1, n + 1:2 * n + 1] > 0).nonzero()
-    return cols[np.argsort(rows)]
+    return result.flow[1:k + 1, k + 1:sink].toarray()
 
 
-def _bottleneck_from_matrix(dist: np.ndarray) -> tuple[float, np.ndarray]:
-    """Smallest r such that {(i, j): dist_ij <= r} has a perfect matching,
-    with one such matching as perm (row i matched to column perm[i])."""
+def _bottleneck_from_matrix(dist: np.ndarray, supply: np.ndarray,
+                            demand: np.ndarray) -> tuple[float, np.ndarray]:
+    """Smallest r such that {(i, j): dist_ij <= r} carries a flow of the
+    supplies to the demands, with one such flow."""
     values = np.unique(dist)
-    # the threshold values[-1] admits every pair, so the identity matches
-    lo, hi, best = -1, len(values) - 1, np.arange(dist.shape[0])
+    # values[-1] admits every pair: never probed, its flow is built last
+    lo, hi, best = -1, len(values) - 1, None
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        perm = _perfect_matching(dist <= values[mid])
-        if perm is None:
+        flow = _flow(dist <= values[mid], supply, demand)
+        if flow is None:
             lo = mid
         else:
-            hi, best = mid, perm
+            hi, best = mid, flow
+    if best is None:
+        best = _flow(dist <= values[hi], supply, demand)
     return float(values[hi]), best
 
 
@@ -138,7 +140,9 @@ def matching_distance(a, b) -> float:
     distances |a_i - b_j|, selected by threshold binary search with
     matching feasibility tests.
     """
-    return _bottleneck_from_matrix(_distance_matrix(*_value_pair(a, b)))[0]
+    av, bv = _value_pair(a, b)
+    ones = np.ones(av.size, dtype=np.intp)
+    return _bottleneck_from_matrix(_distance_matrix(av, bv), ones, ones)[0]
 
 
 @lru_cache(maxsize=None)
@@ -342,9 +346,9 @@ def _starting_unitaries(a: NormalMatrix, b: NormalMatrix, seed: int) -> np.ndarr
 def unitary_distance(a, b, tol: float = 1e-8, *, seed: int = 0) -> UnitaryDistanceResult:
     """The unitary orbit distance inf ||a - u b u*||, with a unitary attaining it.
 
-    Every pair starts from the aligned closed form: the eigenbases (`eigh`
-    for Hermitian pairs, complex Schur otherwise) aligned along an optimal
-    bottleneck matching of the spectra give u = va P vb*, and its value
+    Every pair starts from the aligned closed form: the eigenbases aligned
+    along an optimal bottleneck matching of the spectra give u = va P vb*
+    (P = 1 on the ascending `eigh` spectra of Hermitian pairs), and its value
     ||a - u b u*|| is an upper bound that equals the matching distance
     delta up to rounding.  The lower bound is delta itself for Hermitian
     (Weyl) and unitary (Bhatia-Davis) pairs, where the orbit distance is
@@ -369,11 +373,14 @@ def unitary_distance(a, b, tol: float = 1e-8, *, seed: int = 0) -> UnitaryDistan
     hermitian = na.is_hermitian and nb.is_hermitian
     if hermitian:
         (la, va), (lb, vb) = np.linalg.eigh(na.array), np.linalg.eigh(nb.array)
+        delta = float(np.max(np.abs(la - lb)))
     else:
         (la, va), (lb, vb) = na.eigenbasis(), nb.eigenbasis()
-    dist = _distance_matrix(la, lb)
-    delta, perm = _bottleneck_from_matrix(dist)
-    u = va @ vb[:, perm].conj().T
+        dist = _distance_matrix(la, lb)
+        ones = np.ones(na.n, dtype=np.intp)
+        delta, flow = _bottleneck_from_matrix(dist, ones, ones)
+        vb = vb[:, flow.argmax(axis=1)]
+    u = va @ vb.conj().T
     value = operator_norm(na.array - u @ nb.array @ u.conj().T)
     start_index, n_starts, iterations = 0, 1, 0
     if hermitian or (na.is_unitary and nb.is_unitary):
@@ -486,7 +493,7 @@ class DiscreteMeasure:
     """Finitely supported probability measure with exactly rational weights.
 
     Weights must be Fractions (or ints); floats are refused so that the
-    equal-weight expansion used by `wasserstein_inf` is exact.
+    integer masses `wasserstein_inf` transports are exact.
     """
 
     atoms: tuple
@@ -523,35 +530,30 @@ class DiscreteMeasure:
 
 
 def wasserstein_inf(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                    metric: Callable | None = None, *, max_expansion: int = 4096) -> float:
+                    metric: Callable | None = None) -> float:
     """Bottleneck transport distance between two rational discrete measures.
 
-    Both measures are expanded over the common denominator of all weights
-    into equal-weight atom lists, where an optimal plan may be taken to be
-    a matching; the value is then the exact bottleneck matching of the
-    expanded lists.  Without a `metric` oracle the atoms are treated as
-    complex numbers and distances are computed exactly as in
-    `matching_distance`, so the two routes are bitwise comparable.
+    Over the common denominator D of all weights (at most 2**31 - 1, the
+    int32 flow capacity) each atom carries the integer mass w * D, and the
+    value is the threshold search of `matching_distance` over the atom
+    distances with those masses as supplies and demands.  Without a
+    `metric` oracle the atoms are treated as complex numbers and distances
+    are computed exactly as in `matching_distance`, so the two routes are
+    bitwise comparable.
     """
     if mu.space is not None and nu.space is not None and mu.space != nu.space:
         raise IncompatibleSpacesError(f"measures live over {mu.space!r} vs {nu.space!r}")
     denom = lcm(mu.common_denominator(), nu.common_denominator())
-    if denom > max_expansion:
-        raise ValueError(f"common denominator {denom} exceeds the expansion budget")
-
-    def expand(measure: DiscreteMeasure) -> list:
-        out = []
-        for atom, w in zip(measure.atoms, measure.weights):
-            out.extend([atom] * int(w * denom))
-        return out
-
-    left, right = expand(mu), expand(nu)
+    if denom > np.iinfo(np.int32).max:
+        raise ValueError(f"common denominator {denom} overflows int32 flow capacities")
+    supply = np.array([int(w * denom) for w in mu.weights])
+    demand = np.array([int(w * denom) for w in nu.weights])
     if metric is None:
-        dist = _distance_matrix(np.asarray(left, dtype=complex),
-                                np.asarray(right, dtype=complex))
+        dist = _distance_matrix(np.asarray(mu.atoms, dtype=complex),
+                                np.asarray(nu.atoms, dtype=complex))
     else:
-        dist = np.array([[float(metric(x, y)) for y in right] for x in left])
-    return _bottleneck_from_matrix(dist)[0]
+        dist = np.array([[float(metric(x, y)) for y in nu.atoms] for x in mu.atoms])
+    return _bottleneck_from_matrix(dist, supply, demand)[0]
 
 
 def spectral_measure(a) -> DiscreteMeasure:
@@ -561,9 +563,7 @@ def spectral_measure(a) -> DiscreteMeasure:
     mean, accumulating weight in exact n-ths.
     """
     na = _as_normal(a)
-    eig = na.spectrum()
-    order = np.lexsort((eig.imag, eig.real))
-    eig = eig[order]
+    eig, _ = na.eigenbasis()
     clusters: list[list[complex]] = [[eig[0]]]
     for lam in eig[1:]:
         if abs(lam - clusters[-1][-1]) <= ATOM_MERGE_TOL:

@@ -179,6 +179,27 @@ class TestValidation:
         run(["sample", "--p", "0.4", "--trials", "0", "--output", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize("initial", ["[1]", "5", "[[0, 0.5, 1]]", "[[1, null]]",
+                                         '{"0": 1}', "[[0, 1]"])
+    def test_initial_must_be_state_weight_pairs(self, tmp_path, capsys, initial):
+        out = tmp_path / "x.jsonl"
+        assert run(["walk", "--p", "0.5", "--initial", initial, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == json.dumps(
+            {"error": "initial must be a JSON list of [state, weight] pairs"}) + "\n"
+        assert not out.exists()
+
+    def test_unwritable_output_exits_2_without_temp_file(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "x.jsonl"
+        assert run(["walk", "--p", "0.5", "--output", str(out)]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error.startswith("cannot write report: ")
+        assert not (tmp_path / "nodir").exists()
+        # the output path is an existing directory: the temporary file is
+        # made beside it, and removed when the rename fails
+        assert run(["walk", "--p", "0.5", "--output", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"].startswith("cannot write report: ")
+        assert not list(tmp_path.parent.glob(".report-*"))
+
 
 class TestConfigFile:
     def test_flags_win_over_config(self, tmp_path):
@@ -198,6 +219,16 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"p": 0.3, "nope": 1}))
         assert run(["walk", "--config", str(cfg), "--output",
                     str(tmp_path / "r.jsonl")]) == 2
+
+    @pytest.mark.parametrize("content", ["5", '["p"]', '"p"', "null"])
+    def test_config_must_be_json_object(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        out = tmp_path / "r.jsonl"
+        assert run(["walk", "--config", str(cfg), "--p", "0.5", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == json.dumps(
+            {"error": "config file must hold a JSON object"}) + "\n"
+        assert not out.exists()
 
 
 class TestReports:

@@ -126,6 +126,17 @@ class TestUnitaryDistance:
                 assert res.lower_bound == pytest.approx(delta, abs=1e-12)
                 assert res.value >= res.lower_bound - 1e-7
 
+    def test_hermitian_lower_bound_is_matching_of_eigh_spectra(self):
+        # the ascending eigh spectra matched in order give the bottleneck
+        # value of the threshold search bit for bit
+        rng = stream(6)
+        for n in range(1, 9):
+            for _ in range(10):
+                a, b = random_hermitian(n, rng), random_hermitian(n, rng)
+                res = unitary_distance(a, b)
+                delta = matching_distance(np.linalg.eigh(a.array)[0], np.linalg.eigh(b.array)[0])
+                assert res.lower_bound == delta
+
     def test_unitary_pairs_certified_in_closed_form(self):
         rng = stream(5)
         for n in (2, 5, 6, 8):
@@ -226,6 +237,42 @@ class TestDiscreteMeasure:
         nu = DiscreteMeasure((0.25, 0.75), (Fraction(1, 2), Fraction(1, 2)))
         # one third of the mass at 1 must travel to 0.25
         assert wasserstein_inf(mu, nu) == 0.75
+
+    def test_unequal_weights_equal_brute_force_of_expanded_atoms(self):
+        rng = stream(46)
+        for _ in range(100):
+            denom = int(rng.integers(2, 9))
+            sides = []
+            for _ in range(2):
+                k = int(rng.integers(1, denom + 1))
+                cuts = np.sort(rng.choice(np.arange(1, denom), k - 1, replace=False))
+                counts = np.diff(np.concatenate(([0], cuts, [denom])))
+                z = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+                sides.append((DiscreteMeasure(tuple(z), tuple(Fraction(int(c), denom)
+                                                              for c in counts)),
+                              np.repeat(z, counts)))
+            (mu, x), (nu, y) = sides
+            assert wasserstein_inf(mu, nu) == bottleneck_brute_force(x, y)
+
+    def test_denominator_beyond_old_expansion_budget(self):
+        # 6007 > 4096, the largest denominator the expanded matching accepted
+        rng = stream(47)
+        x, y = rng.standard_normal(3), rng.standard_normal(4)
+        cx, cy = np.array([1, 3000, 3006]), np.array([2000, 7, 3999, 1])
+        mu = DiscreteMeasure(tuple(x), tuple(Fraction(int(c), 6007) for c in cx))
+        nu = DiscreteMeasure(tuple(y), tuple(Fraction(int(c), 6007) for c in cy))
+        expected = sorted_matching_value(np.repeat(x, cx), np.repeat(y, cy))
+        assert wasserstein_inf(mu, nu) == expected
+
+    def test_denominator_overflowing_int32_refused(self):
+        tiny = Fraction(1, 2**31)
+        mu = DiscreteMeasure((0.0, 1.0), (tiny, 1 - tiny))
+        with pytest.raises(ValueError, match="int32"):
+            wasserstein_inf(mu, DiscreteMeasure.point(0.5))
+        # the largest denominator that fits is accepted
+        small = Fraction(1, 2**31 - 1)
+        nu = DiscreteMeasure((0.0, 1.0), (small, 1 - small))
+        assert wasserstein_inf(nu, DiscreteMeasure.point(0.25)) == 0.75
 
     def test_large_expansion_equals_sorted_matching(self):
         # 41 and 31 equal weights expand to 1271 atoms on each side
