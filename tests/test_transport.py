@@ -255,7 +255,7 @@ class TestDiscreteMeasure:
             assert wasserstein_inf(mu, nu) == bottleneck_brute_force(x, y)
 
     def test_denominator_beyond_old_expansion_budget(self):
-        # 6007 > 4096, the largest denominator the expanded matching accepted
+        # D = 6007: an equal-weight expansion would match 6007 atoms per side
         rng = stream(47)
         x, y = rng.standard_normal(3), rng.standard_normal(4)
         cx, cy = np.array([1, 3000, 3006]), np.array([2000, 7, 3999, 1])
