@@ -78,6 +78,8 @@ def _error_record(message: str) -> None:
 def _atomic_write(path: str, text: str) -> None:
     """Write through a temporary file beside `path`; a path that cannot be
     written raises ConfigError and leaves no temporary file behind."""
+    if not isinstance(path, str):
+        raise ConfigError("output must be a path string")
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
@@ -144,7 +146,7 @@ def _walk_params(cfg: dict) -> tuple[WalkParams, dict]:
     barrier = _choice(cfg, "barrier", _BARRIERS)
     initial = cfg["initial"]
     if initial is None:
-        initial = ((int(cfg["start"]), 1.0),)
+        initial = ((_number(cfg, "start", int), 1.0),)
     else:
         try:
             if isinstance(initial, str):
@@ -154,17 +156,27 @@ def _walk_params(cfg: dict) -> tuple[WalkParams, dict]:
             initial = tuple((int(s), float(w)) for s, w in initial)
         except (TypeError, ValueError):
             raise ConfigError("initial must be a JSON list of [state, weight] pairs") from None
-    q = cfg["q"]
-    params = WalkParams(p=float(cfg["p"]), q=None if q is None else float(q),
-                        barrier=barrier, initial=initial)
+    p = _number(cfg, "p", float)
+    q = None if cfg["q"] is None else _number(cfg, "q", float)
+    params = WalkParams(p=p, q=q, barrier=barrier, initial=initial)
     return params, {**cfg, "initial": [[s, w] for s, w in params.initial], "q": params.q}
 
 
 def _choice(cfg: dict, key: str, table: dict):
-    value = table.get(cfg[key])
+    value = table.get(cfg[key]) if isinstance(cfg[key], str) else None
     if value is None:
         raise ConfigError(f"{key} must be one of {sorted(table)}")
     return value
+
+
+def _number(cfg: dict, key: str, kind: type):
+    """cfg[key] converted by `kind` (int or float).  A value of the wrong
+    JSON type (a list, an object, null, an infinite seed) is a config error
+    naming the key; a string that does not parse keeps the parser's message."""
+    try:
+        return kind(cfg[key])
+    except (TypeError, OverflowError):
+        raise ConfigError(f"{key} must be a finite number, got {json.dumps(cfg[key])}") from None
 
 
 def _positive_int(cfg: dict, key: str) -> int:
@@ -183,7 +195,7 @@ def _cmd_walk(cfg: dict):
     params, cfg = _walk_params(cfg)
     trials = _positive_int(cfg, "trials")
     length = _positive_int(cfg, "length")
-    seed = int(cfg["seed"])
+    seed = _number(cfg, "seed", int)
 
     records = []
     for t in range(trials):
@@ -204,7 +216,7 @@ def _cmd_sample(cfg: dict):
     scheme = _choice(cfg, "scheme", _SCHEMES)
     trials = _positive_int(cfg, "trials")
     horizon = _positive_int(cfg, "horizon")
-    seed = int(cfg["seed"])
+    seed = _number(cfg, "seed", int)
 
     result = estimate_prob_jiang_su(params, trials, horizon, seed)
     descriptor, diagnostics = sample_algebra(params, scheme, horizon, seed)
@@ -223,7 +235,7 @@ def _cmd_simplex(cfg: dict):
     params, cfg = _walk_params(cfg)
     scheme = _choice(cfg, "scheme", _SCHEMES)
     horizon = _positive_int(cfg, "horizon")
-    seed = int(cfg["seed"])
+    seed = _number(cfg, "seed", int)
 
     states = sample_trajectory(params, horizon + 1, seed).states
     if params.barrier is Barrier.ABSORBING and 0 in states:
@@ -239,8 +251,8 @@ def _cmd_simplex(cfg: dict):
 def _cmd_weyl(cfg: dict):
     n = _positive_int(cfg, "n")
     trials = _positive_int(cfg, "trials")
-    seed = int(cfg["seed"])
-    tol = float(cfg["tol"])
+    seed = _number(cfg, "seed", int)
+    tol = _number(cfg, "tol", float)
     make = _choice(cfg, "ensemble", _ENSEMBLES)
 
     records = []

@@ -196,40 +196,20 @@ def sample_algebra(params: WalkParams, scheme: MeasureScheme, horizon: int,
         raise InvalidParamsError(f"horizon must be an integer >= 1, got {horizon!r}")
     traj = sample_trajectory(params, horizon + 1, seed)
     states = traj.states
-    max_dim = max(states)
-    zero_visits = traj.zero_visits()
-
+    diagnostics = SampleDiagnostics(horizon=horizon, zero_visits=traj.zero_visits(),
+                                    max_dimension=max(states))
+    tower_states = states
     if params.barrier is Barrier.REFLECTING:
-        tower_states = states
-        descriptor = AlgebraDescriptor(
-            unit_class=1,
-            finiteness=Finiteness.STABLY_FINITE,
-            trace_space=classify_trace_space(params, scheme),
-        )
-        diagnostics = SampleDiagnostics(horizon=horizon, zero_visits=zero_visits,
-                                        max_dimension=max_dim)
+        trace_space = classify_trace_space(params, scheme)
     else:
-        absorbed = 0 in states
-        if absorbed:
-            hit = states.index(0)
-            tower_states = states[: hit + 1] if hit > 0 else states[:1]
-            sup = max(states[: hit + 1])
-            censored = False
-            absorption_time = hit
-        else:
-            tower_states = states
-            sup = max_dim
-            censored = True
-            absorption_time = None
-        descriptor = AlgebraDescriptor(
-            unit_class=1,
-            finiteness=Finiteness.STABLY_FINITE,
-            trace_space=TraceSpaceTag.finite_dim(sup + 1),
-        )
-        diagnostics = SampleDiagnostics(horizon=horizon, zero_visits=zero_visits,
-                                        max_dimension=max_dim, censored=censored,
-                                        absorbed=absorbed, absorption_time=absorption_time)
-
+        diagnostics.absorbed = 0 in states
+        diagnostics.censored = not diagnostics.absorbed
+        if diagnostics.absorbed:
+            diagnostics.absorption_time = states.index(0)
+            tower_states = states[: diagnostics.absorption_time + 1]
+        trace_space = TraceSpaceTag.finite_dim(max(tower_states) + 1)
+    descriptor = AlgebraDescriptor(unit_class=1, finiteness=Finiteness.STABLY_FINITE,
+                                   trace_space=trace_space)
     if len(tower_states) > 1:
         diagnostics.covering_radius_samples = _radius_samples(
             tower_states, scheme, mix64(seed, 1))

@@ -15,10 +15,11 @@ of the base.  Collapse points are drawn from one of three measures:
 A `SimplexTower` stores its dimensions and one read-only float64 array
 `coords` holding every collapse vector in step order; the int64 array
 `offsets` gives step i the slice coords[offsets[i]:offsets[i + 1]], which
-is empty for an inclusion.  No object is kept per step: `build_tower`
-writes its draws straight into `coords`, and the archive, truncation,
-pushdown and covering-radius code read slices of it.  `maps` presents the
-same data as a tuple of `TowerMap` objects, built on first access.
+is empty for an inclusion.  One constructor lays out, copies, checks and
+freezes every tower: `build_tower` hands it the buffer its draws were
+written into, `truncate` returns a checked copy, and no object is kept per
+step.  The archive, pushdown and covering-radius code read slices of
+`coords`; `maps` presents the same data as `TowerMap` objects on demand.
 
 Distances between barycentric vectors use the halved l1 metric, so two
 vertices are at distance exactly 1.
@@ -31,6 +32,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
+from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -188,8 +190,10 @@ class SimplexTower:
     dimension drops by one and a collapse exactly when it rises by one.
     All collapse vectors live in one read-only float64 array `coords`, in
     step order: the vector of step i is coords[offsets[i]:offsets[i + 1]],
-    empty for an inclusion.  `maps` presents the same data as TowerMap
-    objects, built on first access.
+    empty for an inclusion.  The constructor, the one path to a tower,
+    derives `offsets` from `dims`, copies `coords`, checks every collapse
+    vector is barycentric to BARYCENTRIC_TOL and makes both read-only.
+    `maps` presents the same data as TowerMap objects on first access.
     """
 
     dims: tuple[int, ...]
@@ -202,18 +206,6 @@ class SimplexTower:
         dims, offsets = _layout(self.dims)
         coords = np.array(self.coords, dtype=float)
         _check_coords(coords, offsets)
-        self._freeze(dims, coords, offsets)
-
-    @classmethod
-    def _trusted(cls, dims, coords, offsets, scheme, seed) -> "SimplexTower":
-        """A tower from parts that are already checked; no copy, no re-check."""
-        tower = object.__new__(cls)
-        object.__setattr__(tower, "scheme", scheme)
-        object.__setattr__(tower, "seed", seed)
-        tower._freeze(dims, coords, offsets)
-        return tower
-
-    def _freeze(self, dims, coords, offsets) -> None:
         coords.flags.writeable = False
         offsets.flags.writeable = False
         object.__setattr__(self, "dims", dims)
@@ -248,9 +240,8 @@ class SimplexTower:
         if last_level < 0:
             raise InvalidTrajectoryError("a tower needs at least one level")
         last_level = min(last_level, self.top_level)
-        return SimplexTower._trusted(self.dims[: last_level + 1],
-                                     self.coords[: self.offsets[last_level]],
-                                     self.offsets[: last_level + 1], self.scheme, self.seed)
+        return SimplexTower(self.dims[: last_level + 1], self.coords[: self.offsets[last_level]],
+                            self.scheme, self.seed)
 
     def to_json(self) -> str:
         """The bytes of json.dumps(doc, sort_keys=True) for the documented doc.
@@ -303,9 +294,8 @@ class SimplexTower:
                 f"collapse vector at step {i} must have length {lengths[i]}")
         coords = np.fromiter(chain.from_iterable(m["vector"] for m in maps if "vector" in m),
                              dtype=float, count=int(offsets[-1]))
-        _check_coords(coords, offsets)
         scheme = MeasureScheme(doc["scheme"]) if doc.get("scheme") else None
-        return cls._trusted(dims, coords, offsets, scheme, doc.get("seed"))
+        return cls(dims, coords, scheme, doc.get("seed"))
 
 
 def build_tower(trajectory: Trajectory | Sequence[int], scheme: MeasureScheme,
@@ -327,8 +317,7 @@ def build_tower(trajectory: Trajectory | Sequence[int], scheme: MeasureScheme,
         c = visits.get(n, 0)
         visits[n] = c + 1
         draw_collapse(scheme, n, c, rng, coords[a: a + n])
-    _check_coords(coords, offsets)
-    return SimplexTower._trusted(dims, coords, offsets, scheme, seed)
+    return SimplexTower(dims, coords, scheme, seed)
 
 
 def pushdown(tower: SimplexTower, level_j: int, point: np.ndarray, level_m: int) -> np.ndarray:
@@ -360,26 +349,14 @@ def barycentric_distance(x: np.ndarray, y: np.ndarray) -> float:
 
 def barycentric_grid(dim: int, resolution: int = 8) -> np.ndarray:
     """All barycentric vectors on Delta_dim with coordinates in multiples of 1/resolution."""
-    count = _grid_size(dim, resolution)
+    count = comb(resolution + dim, dim)
     if count > 500_000:
         raise ValueError(f"grid with {count} points is too large; use a lower level")
-    pts = []
-    # compositions of `resolution` into dim+1 parts via stars and bars
-    for bars in combinations(range(resolution + dim), dim):
-        prev = -1
-        comp = []
-        for b in bars:
-            comp.append(b - prev - 1)
-            prev = b
-        comp.append(resolution + dim - prev - 1)
-        pts.append(comp)
-    return np.array(pts, dtype=float) / resolution
-
-
-def _grid_size(dim: int, resolution: int) -> int:
-    from math import comb
-
-    return comb(resolution + dim, dim)
+    # compositions of `resolution` into dim+1 parts via stars and bars: the
+    # parts are the gaps between dim bars among resolution+dim slots
+    bars = np.fromiter(chain.from_iterable(combinations(range(resolution + dim), dim)),
+                       dtype=np.int64, count=count * dim).reshape(count, dim)
+    return (np.diff(bars, axis=1, prepend=-1, append=resolution + dim) - 1) / resolution
 
 
 def top_vertex_images(tower: SimplexTower, level_m: int) -> np.ndarray:

@@ -559,20 +559,21 @@ def wasserstein_inf(mu: DiscreteMeasure, nu: DiscreteMeasure,
 def spectral_measure(a) -> DiscreteMeasure:
     """Normalised counting measure on the spectrum of a normal matrix.
 
-    Eigenvalues closer than 1e-9 are merged into a single atom at their
-    mean, accumulating weight in exact n-ths.
+    Eigenvalues within 1e-9 of each other, directly or through a chain of
+    such neighbours, are merged into a single atom at their mean,
+    accumulating weight in exact n-ths; atoms follow the eigenbasis order
+    of their first member.
     """
+    from scipy.sparse.csgraph import connected_components
+
     na = _as_normal(a)
     eig, _ = na.eigenbasis()
-    clusters: list[list[complex]] = [[eig[0]]]
-    for lam in eig[1:]:
-        if abs(lam - clusters[-1][-1]) <= ATOM_MERGE_TOL:
-            clusters[-1].append(lam)
-        else:
-            clusters.append([lam])
-    n = na.n
+    _, labels = connected_components(_distance_matrix(eig, eig) <= ATOM_MERGE_TOL,
+                                     directed=False)
+    _, first = np.unique(labels, return_index=True)
+    clusters = [eig[labels == labels[i]] for i in np.sort(first)]
     atoms = tuple(complex(np.mean(c)) for c in clusters)
-    weights = tuple(Fraction(len(c), n) for c in clusters)
+    weights = tuple(Fraction(len(c), na.n) for c in clusters)
     return DiscreteMeasure(atoms, weights, space="C")
 
 

@@ -230,6 +230,27 @@ class TestConfigFile:
             {"error": "config file must hold a JSON object"}) + "\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, content, error", [
+        (["walk"], {"p": [0.5]}, "p must be a finite number, got [0.5]"),
+        (["walk"], {"p": 0.5, "seed": None}, "seed must be a finite number, got null"),
+        (["walk"], {"p": 0.5, "q": {}}, "q must be a finite number, got {}"),
+        (["walk"], {"p": 0.5, "start": None}, "start must be a finite number, got null"),
+        (["walk"], {"p": 0.5, "barrier": ["absorbing"]},
+         "barrier must be one of ['absorbing', 'reflecting']"),
+        (["walk"], {"p": 0.5, "output": 5}, "output must be a path string"),
+        (["weyl"], {"tol": [1e-8]}, "tol must be a finite number, got [1e-08]"),
+        (["weyl"], {"ensemble": {"hermitian": 1}},
+         "ensemble must be one of ['hermitian', 'normal', 'unitary']"),
+        (["simplex"], {"p": 0.7, "seed": 1e400}, "seed must be a finite number, got Infinity"),
+    ])
+    def test_wrong_value_types_exit_2(self, tmp_path, monkeypatch, capsys, argv, content, error):
+        # values of the wrong JSON type name their key; no report is written
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(content))
+        assert run(argv + ["--config", "cfg.json"]) == 2
+        assert capsys.readouterr().err == json.dumps({"error": error}) + "\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
 
 class TestReports:
     def test_sample_report_schema(self, tmp_path):

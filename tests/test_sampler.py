@@ -93,17 +93,19 @@ class TestSampleAlgebra:
     def test_absorbed_sup_counts_extreme_traces(self):
         params = WalkParams.point(0.3, barrier=Barrier.ABSORBING, start=2)
         descriptor, diag = sample_algebra(params, MeasureScheme.UNIFORM_VERTICES, 4000, 5)
-        assert diag.absorbed
+        assert diag.absorbed and not diag.censored
+        states = sample_trajectory(params, 4001, 5).states
+        assert diag.absorption_time == states.index(0)
         assert descriptor.trace_space.kind is TraceSpaceKind.FINITE_DIM
         assert descriptor.trace_space.points == diag.max_dimension + 1
 
     def test_censoring_instead_of_error(self):
-        # strong upward drift: absorption from state 5 within 10 steps is rare
-        params = WalkParams.point(0.95, barrier=Barrier.ABSORBING, start=5)
+        # the walk only rises from state 5, so it is never absorbed
+        params = WalkParams.point(1.0, barrier=Barrier.ABSORBING, start=5)
         descriptor, diag = sample_algebra(params, MeasureScheme.UNIFORM_VERTICES, 10, 2)
-        if not diag.absorbed:
-            assert diag.censored
-            assert descriptor.trace_space.kind is TraceSpaceKind.FINITE_DIM
+        assert diag.censored and not diag.absorbed
+        assert diag.absorption_time is None
+        assert descriptor.trace_space == TraceSpaceTag.finite_dim(16)
 
     def test_deterministic(self):
         params = WalkParams.point(0.6)

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -231,6 +232,20 @@ class TestFlatTowerAgainstReference:
             assert cut == build_tower(dims[: last + 1], MeasureScheme.LEBESGUE_FACES, 9)
             assert cut.maps == tower.maps[:last]
 
+    def test_every_construction_path_is_read_only(self):
+        source = np.array([1.0, 0.25, 0.75])
+        direct = SimplexTower((0, 1, 2, 1), source)
+        source[:] = 0.0
+        assert direct.coords.tolist() == [1.0, 0.25, 0.75]
+        dims = list(sample_trajectory(WalkParams.point(0.6), 80, 4).states)
+        built = build_tower(dims, MeasureScheme.LEBESGUE_FACES, 4)
+        for tower in (direct, built, built.truncate(30), built.truncate(0),
+                      SimplexTower.from_json(built.to_json())):
+            for array in (tower.coords, tower.offsets):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[:1] = 0
+
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_pushdown_matches_map_by_map(self, scheme):
         rng = stream(17)
@@ -356,6 +371,19 @@ class TestCoveringRadius:
         longer = covering_radius(tower, level)
         assert longer <= radii[0] + 1e-12
         assert longer > 0.2
+
+    @pytest.mark.parametrize("dim", range(7))
+    def test_grid_is_stars_and_bars(self, dim):
+        # part j of a composition is the gap between bars j-1 and j, with
+        # bars at -1 and resolution+dim closing the ends
+        for resolution in (1, 3, 8):
+            rows = []
+            for bars in itertools.combinations(range(resolution + dim), dim):
+                ends = (-1, *bars, resolution + dim)
+                rows.append([b - a - 1 for a, b in zip(ends, ends[1:])])
+            expected = np.array(rows, dtype=float) / resolution
+            assert bits(barycentric_grid(dim, resolution)) == bits(expected)
+            assert barycentric_grid(dim, resolution).shape == expected.shape
 
     def test_grid_guard(self):
         with pytest.raises(ValueError):

@@ -319,6 +319,18 @@ class TestSpectralMeasure:
                 trace = np.trace(np.linalg.matrix_power(a.array, k)) / n
                 assert abs(moment - trace) < 1e-8
 
+    def test_repeated_eigenvalue_is_one_atom(self):
+        # u diag(i, i, 0) u*: the rounded copies of i must merge even when
+        # the third eigenvalue sorts between them
+        rng = np.random.default_rng(1)
+        for _ in range(300):
+            u = random_unitary(3, rng).array
+            sm = spectral_measure(u @ np.diag([1j, 1j, 0]) @ u.conj().T)
+            assert sorted(sm.weights) == [Fraction(1, 3), Fraction(2, 3)]
+            weights = {round(atom.real, 6) + 1j * round(atom.imag, 6): w
+                       for atom, w in zip(sm.atoms, sm.weights)}
+            assert weights == {1j: Fraction(2, 3), 0j: Fraction(1, 3)}
+
     def test_winf_pair_hermitian_equals_matching(self):
         rng = stream(42)
         for n in (2, 3, 5):
