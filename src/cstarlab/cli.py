@@ -11,7 +11,11 @@ ktheory   six-term computations for the shift algebra and dimension drops
 summary   human-readable aggregates of a previously written report
 
 Every subcommand but summary takes `--config FILE`, a JSON object keyed by
-its flag names (`max_size` for `--max-size`); explicit flags win.  `--seed`,
+its flag names (`max_size` for `--max-size`); explicit flags win.  Both are
+checked against one key table, so a config value must have its flag's JSON
+type: a string number (`"0.5"`), a bool, a fractional seed or count, a
+format other than json or csv, or an `initial` state that is not an integer
+exits 2.  Float values are recorded as floats (`1` as `1.0`).  `--seed`,
 `--output` and `--format` are accepted everywhere (cuntz and ktheory ignore
 `--seed`); sample and simplex write JSON only and refuse `--format csv`.
 
@@ -20,8 +24,9 @@ after it is a pure function of the resolved configuration, so re-running
 with the same seed gives byte-identical output modulo that line.  JSON
 reports are JSON-lines (config record first); CSV reports carry the config
 in a second '#' header line.  Exit status: 0 success, 2 invalid
-configuration, unreadable input or unwritable output, 3 when numerical
-non-convergence flags are present in the report.
+configuration, unreadable input, a malformed report given to summary or
+unwritable output, 3 when numerical non-convergence flags are present in
+the report.
 """
 
 from __future__ import annotations
@@ -42,18 +47,14 @@ import numpy as np
 from . import cuntz as cuntz_mod
 from . import ktheory as ktheory_mod
 from .rng import mix64, stream
-from .sampler import (
-    classify_trace_space,
-    estimate_prob_jiang_su,
-    report_record,
-    sample_algebra,
-)
+from .sampler import estimate_prob_jiang_su, report_record, sample_algebra
 from .simplex import MeasureScheme, build_tower
 from .transport import (
     matching_distance,
     random_hermitian,
     random_normal,
     random_unitary,
+    sorted_matching_value,
     unitary_distance,
 )
 from .walk import Barrier, WalkParams, sample_trajectory
@@ -66,9 +67,67 @@ _ENSEMBLES = {
     "normal": random_normal,
 }
 
+#: configuration key -> kind: float, int, "count" (an int >= 1), str (a
+#: path), a tuple of the allowed strings, or "pairs" ([state, weight] pairs);
+#: each key's flag and every value it takes, from a flag or a config file,
+#: follow the kind
+_KEYS = {
+    **dict.fromkeys(["p", "q", "tol"], float),
+    **dict.fromkeys(["seed", "start"], int),
+    **dict.fromkeys(["n", "max_size", "length", "trials", "horizon"], "count"),
+    "output": str,
+    "format": ("json", "csv"),
+    "barrier": tuple(sorted(_BARRIERS)),
+    "scheme": tuple(sorted(_SCHEMES)),
+    "ensemble": tuple(sorted(_ENSEMBLES)),
+    "initial": "pairs",
+}
+
 
 class ConfigError(ValueError):
     pass
+
+
+def _flag_keywords(kind) -> dict:
+    """argparse keywords of the flag of a configuration key of this kind."""
+    if kind in (float, int, "count"):
+        return {"type": float if kind is float else int}
+    if kind == "pairs":
+        return {"help": "JSON list of [state, weight] pairs"}
+    return {"choices": kind} if isinstance(kind, tuple) else {}
+
+
+def _checked(key: str, value):
+    """`value` as configuration key `key` records it; a value its flag would
+    refuse is a ConfigError naming the key.  A JSON bool is not a number."""
+    kind = _KEYS[key]
+    if kind is float:
+        try:
+            if type(value) not in (int, float):
+                raise TypeError
+            return float(value)
+        except (TypeError, OverflowError):
+            raise ConfigError(f"{key} must be a finite number, got {json.dumps(value)}") from None
+    elif kind in (int, "count"):
+        if type(value) is not int:
+            finite = type(value) is float and math.isfinite(value)
+            raise ConfigError(f"{key} must be {'an integer' if finite else 'a finite number'}, "
+                              f"got {json.dumps(value)}")
+        if kind == "count" and value < 1:
+            raise ConfigError(f"{key} must be >= 1")
+    elif isinstance(kind, tuple) and value not in kind:
+        raise ConfigError(f"{key} must be one of {sorted(kind)}")
+    elif kind is str and not isinstance(value, str):
+        raise ConfigError(f"{key} must be a path string")
+    elif kind == "pairs":
+        try:
+            value = json.loads(value) if isinstance(value, str) else value
+            if not all(type(pair) is list and len(pair) == 2 and type(pair[0]) is int
+                       and type(pair[1]) in (int, float) for pair in value):
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ConfigError(f"{key} must be a JSON list of [state, weight] pairs") from None
+    return value
 
 
 def _error_record(message: str) -> None:
@@ -78,8 +137,6 @@ def _error_record(message: str) -> None:
 def _atomic_write(path: str, text: str) -> None:
     """Write through a temporary file beside `path`; a path that cannot be
     written raises ConfigError and leaves no temporary file behind."""
-    if not isinstance(path, str):
-        raise ConfigError("output must be a path string")
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
@@ -117,7 +174,7 @@ def _render(config: dict, records: list, columns: tuple | None) -> str:
 
 
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """Resolved configuration: defaults < config file < explicit flags."""
+    """Resolved and checked configuration: defaults < config file < explicit flags."""
     merged = dict(defaults)
     if args.config:
         try:
@@ -135,7 +192,9 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         flag_val = getattr(args, key)
         if flag_val is not None:
             merged[key] = flag_val
-    return merged
+    # a key whose default is None (p, q, initial) may stay unset
+    return {key: value if value is None and defaults[key] is None else _checked(key, value)
+            for key, value in merged.items()}
 
 
 def _walk_params(cfg: dict) -> tuple[WalkParams, dict]:
@@ -143,47 +202,10 @@ def _walk_params(cfg: dict) -> tuple[WalkParams, dict]:
     and `q` resolved as the report records them."""
     if cfg["p"] is None:
         raise ConfigError("--p is required")
-    barrier = _choice(cfg, "barrier", _BARRIERS)
-    initial = cfg["initial"]
-    if initial is None:
-        initial = ((_number(cfg, "start", int), 1.0),)
-    else:
-        try:
-            if isinstance(initial, str):
-                initial = json.loads(initial)
-            if not all(isinstance(pair, list) and len(pair) == 2 for pair in initial):
-                raise ValueError
-            initial = tuple((int(s), float(w)) for s, w in initial)
-        except (TypeError, ValueError):
-            raise ConfigError("initial must be a JSON list of [state, weight] pairs") from None
-    p = _number(cfg, "p", float)
-    q = None if cfg["q"] is None else _number(cfg, "q", float)
-    params = WalkParams(p=p, q=q, barrier=barrier, initial=initial)
+    initial = ((cfg["start"], 1.0),) if cfg["initial"] is None else cfg["initial"]
+    params = WalkParams(p=cfg["p"], q=cfg["q"], barrier=_BARRIERS[cfg["barrier"]],
+                        initial=initial)
     return params, {**cfg, "initial": [[s, w] for s, w in params.initial], "q": params.q}
-
-
-def _choice(cfg: dict, key: str, table: dict):
-    value = table.get(cfg[key]) if isinstance(cfg[key], str) else None
-    if value is None:
-        raise ConfigError(f"{key} must be one of {sorted(table)}")
-    return value
-
-
-def _number(cfg: dict, key: str, kind: type):
-    """cfg[key] converted by `kind` (int or float).  A value of the wrong
-    JSON type (a list, an object, null, an infinite seed) is a config error
-    naming the key; a string that does not parse keeps the parser's message."""
-    try:
-        return kind(cfg[key])
-    except (TypeError, OverflowError):
-        raise ConfigError(f"{key} must be a finite number, got {json.dumps(cfg[key])}") from None
-
-
-def _positive_int(cfg: dict, key: str) -> int:
-    value = cfg[key]
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigError(f"{key} must be >= 1")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +215,7 @@ def _positive_int(cfg: dict, key: str) -> int:
 
 def _cmd_walk(cfg: dict):
     params, cfg = _walk_params(cfg)
-    trials = _positive_int(cfg, "trials")
-    length = _positive_int(cfg, "length")
-    seed = _number(cfg, "seed", int)
-
+    trials, length, seed = cfg["trials"], cfg["length"], cfg["seed"]
     records = []
     for t in range(trials):
         traj = sample_trajectory(params, length, seed, trial=t)
@@ -213,64 +232,52 @@ def _cmd_walk(cfg: dict):
 
 def _cmd_sample(cfg: dict):
     params, cfg = _walk_params(cfg)
-    scheme = _choice(cfg, "scheme", _SCHEMES)
-    trials = _positive_int(cfg, "trials")
-    horizon = _positive_int(cfg, "horizon")
-    seed = _number(cfg, "seed", int)
-
-    result = estimate_prob_jiang_su(params, trials, horizon, seed)
+    scheme, horizon, seed = _SCHEMES[cfg["scheme"]], cfg["horizon"], cfg["seed"]
+    result = estimate_prob_jiang_su(params, cfg["trials"], horizon, seed)
     descriptor, diagnostics = sample_algebra(params, scheme, horizon, seed)
     record = report_record(params, scheme, result, diagnostics)
+    trace_space = str(descriptor.trace_space)
     if params.barrier is Barrier.REFLECTING:
-        record["trace_space_class"] = str(classify_trace_space(params, scheme))
-    record["descriptor"] = {
-        "unit_class": descriptor.unit_class,
-        "finiteness": descriptor.finiteness.value,
-        "trace_space": str(descriptor.trace_space),
-    }
+        # the reflecting descriptor carries the almost-sure class
+        record["trace_space_class"] = trace_space
+    record["descriptor"] = {"unit_class": descriptor.unit_class, "trace_space": trace_space,
+                            "finiteness": descriptor.finiteness.value}
     return cfg, [record], 0
 
 
 def _cmd_simplex(cfg: dict):
     params, cfg = _walk_params(cfg)
-    scheme = _choice(cfg, "scheme", _SCHEMES)
-    horizon = _positive_int(cfg, "horizon")
-    seed = _number(cfg, "seed", int)
-
-    states = sample_trajectory(params, horizon + 1, seed).states
+    states = sample_trajectory(params, cfg["horizon"] + 1, cfg["seed"]).states
     if params.barrier is Barrier.ABSORBING and 0 in states:
         states = states[: states.index(0) + 1]
     if len(states) < 2:
         raise ConfigError("trajectory too short to build a tower (absorbed immediately)")
-    tower = build_tower(list(states), scheme, mix64(seed, 1))
+    tower = build_tower(list(states), _SCHEMES[cfg["scheme"]], mix64(cfg["seed"], 1))
     # to_json is already sorted-key JSON, so splicing it gives the bytes of
     # json.dumps({"tower": ...}, sort_keys=True) without a decode and re-encode
     return cfg, ['{"tower": ' + tower.to_json() + "}"], 0
 
 
 def _cmd_weyl(cfg: dict):
-    n = _positive_int(cfg, "n")
-    trials = _positive_int(cfg, "trials")
-    seed = _number(cfg, "seed", int)
-    tol = _number(cfg, "tol", float)
-    make = _choice(cfg, "ensemble", _ENSEMBLES)
-
+    n, seed, make = cfg["n"], cfg["seed"], _ENSEMBLES[cfg["ensemble"]]
     records = []
-    for t in range(trials):
+    for t in range(cfg["trials"]):
         rng = stream(seed, t)
         a, b = make(n, rng), make(n, rng)
         if cfg["ensemble"] == "hermitian":
-            delta = matching_distance(np.linalg.eigvalsh(a.array), np.linalg.eigvalsh(b.array))
+            # real spectra: the sorted pairing is a bottleneck matching
+            delta = sorted_matching_value(np.linalg.eigvalsh(a.array),
+                                          np.linalg.eigvalsh(b.array))
         else:
             delta = matching_distance(a.spectrum(), b.spectrum())
-        res = unitary_distance(a, b, tol, seed=mix64(seed, t))
+        res = unitary_distance(a, b, cfg["tol"], seed=mix64(seed, t))
         records.append({"trial": t, "delta": delta, "d_u": res.value,
                         "gap": res.value - delta, "converged": res.converged})
     return cfg, records, 0 if all(rec["converged"] for rec in records) else 3
 
 
 def _cmd_cuntz(cfg: dict):
-    max_size = _positive_int(cfg, "max_size")
+    max_size = cfg["max_size"]
     records = [{"p": p, "q": q, "gcd": math.gcd(p, q),
                 "k1_trivial": cuntz_mod.k1_trivial(*cuntz_mod.dimension_drop_boundary_maps(p, q)),
                 "unit_check": cuntz_mod.nccw_check(cuntz_mod.dimension_drop_unit(p, q))}
@@ -281,7 +288,7 @@ def _cmd_cuntz(cfg: dict):
 
 
 def _cmd_ktheory(cfg: dict):
-    max_size = _positive_int(cfg, "max_size")
+    max_size = cfg["max_size"]
     k0, k1 = ktheory_mod.k_toeplitz()
     records = [{"model": "toeplitz", "k0": str(k0), "k1": str(k1),
                 "index_of_shift": ktheory_mod.toeplitz_index_of_shift()}]
@@ -323,77 +330,52 @@ _COMMANDS = {
                 ("model", "p", "q", "k0", "k1")),
 }
 
-#: argparse keywords of each configuration key's flag
-_FLAGS = {
-    "output": {}, "initial": {"help": "JSON list of [state, weight] pairs"},
-    "format": {"choices": ["json", "csv"]}, "barrier": {"choices": sorted(_BARRIERS)},
-    "scheme": {"choices": sorted(_SCHEMES)}, "ensemble": {"choices": sorted(_ENSEMBLES)},
-    **dict.fromkeys(["p", "q", "tol"], {"type": float}),
-    **dict.fromkeys(["seed", "start", "n", "max_size", "length", "trials", "horizon"],
-                    {"type": int}),
-}
-
-
 # ---------------------------------------------------------------------------
 # summary
 # ---------------------------------------------------------------------------
 
 def report_summary(path: str) -> int:
-    """Print aggregates of a report written by `run`; idempotent."""
+    """Print aggregates of a report written by `run`; idempotent.  JSON-lines
+    and CSV reports are read into records and aggregated in one pass; a
+    malformed report exits 2 and prints nothing."""
     try:
         with open(path) as handle:
-            lines = [ln.rstrip("\n") for ln in handle]
+            body = [ln for ln in handle.read().split("\n") if ln and not ln.startswith("#")]
     except OSError as exc:
         _error_record(f"cannot read report: {exc}")
         return 2
-    body = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not body:
-        print("0 records")
-        return 0
-    if body[0].lstrip().startswith("{"):
-        return _summarize_jsonl(body)
-    return _summarize_csv(body)
-
-
-def _summarize_jsonl(body: list[str]) -> int:
+    lines, gaps, deltas, freqs, where = [], [], [], [], ""
     try:
-        docs = [json.loads(ln) for ln in body]
-    except json.JSONDecodeError as exc:
-        _error_record(f"malformed JSON report: {exc}")
+        if body and body[0].lstrip().startswith("{"):
+            records = [json.loads(ln) for ln in body]  # the first is an object
+            records = records[1:] if "config" in records[0] else records
+        else:
+            records = list(csv.DictReader(body))
+            if any(None in row or None in row.values() for row in records):
+                raise ValueError("a CSV row and the header differ in length")
+        for number, rec in enumerate(records, 1):
+            where = f"record {number}: "
+            if not isinstance(rec, dict):
+                raise TypeError(f"{json.dumps(rec)} is not an object")
+            if "estimate" in rec:
+                lo, hi = rec["ci"]
+                lines.append(f"estimate {rec['estimate']:.6f}  ci [{lo:.6f}, {hi:.6f}]  "
+                             f"trials {rec.get('trials')}  horizon {rec.get('horizon')}")
+            if "gap" in rec:
+                gaps.append(abs(float(rec["gap"])))
+            if "delta" in rec:
+                deltas.append(float(rec["delta"]))
+            if "frequency_hit_zero" in rec:
+                freqs.append(f"frequency_hit_zero {rec['frequency_hit_zero']:.6f} "
+                             f"over {rec['trials']} trials")
+    except (csv.Error, KeyError, TypeError, ValueError) as exc:
+        _error_record(f"malformed report: {where}{exc!r}")
         return 2
-    config = docs[0].get("config") if isinstance(docs[0], dict) else None
-    records = docs[1:] if config is not None else docs
-    print(f"{len(records)} records")
-    for rec in records:
-        if "estimate" in rec:
-            lo, hi = rec.get("ci", (None, None))
-            print(f"estimate {rec['estimate']:.6f}  ci [{lo:.6f}, {hi:.6f}]  "
-                  f"trials {rec.get('trials')}  horizon {rec.get('horizon')}")
-    gaps = [abs(rec["gap"]) for rec in records if isinstance(rec, dict) and "gap" in rec]
     if gaps:
-        print(f"max |gap| {max(gaps):.3e}")
-    freqs = [rec for rec in records if isinstance(rec, dict) and "frequency_hit_zero" in rec]
-    for rec in freqs:
-        print(f"frequency_hit_zero {rec['frequency_hit_zero']:.6f} over {rec['trials']} trials")
-    return 0
-
-
-def _summarize_csv(body: list[str]) -> int:
-    try:
-        rows = list(csv.reader(body))
-    except csv.Error as exc:
-        _error_record(f"malformed CSV report: {exc}")
-        return 2
-    header, data = rows[0], rows[1:]
-    print(f"{len(data)} records")
-    if "gap" in header and data:
-        idx = header.index("gap")
-        gaps = [abs(float(r[idx])) for r in data]
-        print(f"max |gap| {max(gaps):.3e}")
-    if "delta" in header and data:
-        idx = header.index("delta")
-        vals = [float(r[idx]) for r in data]
-        print(f"mean delta {sum(vals) / len(vals):.6f}")
+        lines.append(f"max |gap| {max(gaps):.3e}")
+    if deltas:
+        lines.append(f"mean delta {sum(deltas) / len(deltas):.6f}")
+    print(f"{len(records)} records", *lines, *freqs, sep="\n")
     return 0
 
 
@@ -410,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON config file; explicit flags win")
         # --seed is accepted everywhere, also where no configuration uses it
         for key in dict.fromkeys(["seed", "output", "format", *defaults]):
-            sp.add_argument("--" + key.replace("_", "-"), dest=key, **_FLAGS[key])
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, **_flag_keywords(_KEYS[key]))
     sp = sub.add_parser("summary", help="summarise a report file")
     sp.add_argument("path")
     return parser

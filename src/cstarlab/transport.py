@@ -564,14 +564,15 @@ def spectral_measure(a) -> DiscreteMeasure:
     accumulating weight in exact n-ths; atoms follow the eigenbasis order
     of their first member.
     """
-    from scipy.sparse.csgraph import connected_components
-
     na = _as_normal(a)
     eig, _ = na.eigenbasis()
-    _, labels = connected_components(_distance_matrix(eig, eig) <= ATOM_MERGE_TOL,
-                                     directed=False)
-    _, first = np.unique(labels, return_index=True)
-    clusters = [eig[labels == labels[i]] for i in np.sort(first)]
+    # transitive closure of the neighbour relation by repeated squaring;
+    # each eigenvalue is labelled by the first member of its chain
+    reach = _distance_matrix(eig, eig) <= ATOM_MERGE_TOL
+    for _ in range((na.n - 1).bit_length()):  # ceil(log2 n) squarings
+        reach = reach @ reach
+    labels = reach.argmax(axis=1)
+    clusters = [eig[labels == first] for first in np.unique(labels)]
     atoms = tuple(complex(np.mean(c)) for c in clusters)
     weights = tuple(Fraction(len(c), na.n) for c in clusters)
     return DiscreteMeasure(atoms, weights, space="C")

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 import cstarlab
-from cstarlab.cli import run
+from cstarlab.cli import _build_parser, run
 from cstarlab.rng import mix64
 from cstarlab.simplex import MeasureScheme, SimplexTower, build_tower
 from cstarlab.walk import WalkParams, sample_trajectory
@@ -24,6 +25,12 @@ FLAGGED_EXIT = {
 def strip_header(path):
     with open(path) as handle:
         return [ln for ln in handle if not ln.startswith("#")]
+
+
+def without_timestamp(path):
+    """The report bytes without the timestamp line; a CSV config line stays."""
+    with open(path, "rb") as handle:
+        return b"".join(ln for ln in handle if not ln.startswith(b"# generated_at="))
 
 
 def read_config_line(path):
@@ -104,9 +111,7 @@ class TestDeterminism:
         (tmp_path / "walk.json").write_text(json.dumps(
             {"p": 0.3, "initial": [[1, 0.5], [4, 0.5]], "length": 120, "trials": 40, "seed": 8}))
         assert run(argv_stub + ["--output", "report.jsonl"]) == FLAGGED_EXIT.get(digest, 0)
-        with open("report.jsonl", "rb") as handle:
-            body = b"".join(ln for ln in handle if not ln.startswith(b"# generated_at="))
-        assert hashlib.sha256(body).hexdigest() == digest
+        assert hashlib.sha256(without_timestamp("report.jsonl")).hexdigest() == digest
 
     def test_different_seed_changes_monte_carlo_report(self, tmp_path):
         out1 = str(tmp_path / "a.out")
@@ -252,6 +257,93 @@ class TestConfigFile:
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
 
+    # config values of a type their flag refuses; every one of these ran
+    # before config values were checked against the flags' key table
+    @pytest.mark.parametrize("argv, content, key", [
+        (["walk"], {"p": 0.5, "format": "xml"}, "format"),
+        (["walk"], {"p": 0.5, "format": 3}, "format"),
+        (["walk"], {"p": 0.5, "seed": 1.7}, "seed"),
+        (["walk"], {"p": "0.5"}, "p"),
+        (["walk"], {"p": True}, "p"),
+        (["walk", "--p", "0.5", "--initial", "[[1.5, 1.0]]"], {}, "initial"),
+        (["walk", "--p", "0.5", "--initial", "[[true, 1]]"], {}, "initial"),
+        (["walk", "--p", "0.5", "--initial", '[["2", "1"]]'], {}, "initial"),
+        (["weyl"], {"trials": 2, "tol": "1e-8"}, "tol"),
+        (["cuntz"], {"max_size": 2.0}, "max_size"),
+    ])
+    def test_values_flags_refuse_exit_2(self, tmp_path, monkeypatch, capsys, argv, content, key):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(content))
+        assert run(argv + ["--config", "cfg.json", "--output", "r.out"]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.err)["error"].startswith(key + " must be")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    @pytest.mark.parametrize("argv, content", [
+        (["walk", "--p", "1", "--start", "2", "--length", "20", "--trials", "3", "--seed", "4",
+          "--format", "csv"],
+         {"p": 1, "start": 2, "length": 20, "trials": 3, "seed": 4, "format": "csv"}),
+        (["walk", "--p", "0.5", "--initial", "[[0, 1], [3, 0]]", "--barrier", "absorbing"],
+         {"p": 0.5, "initial": [[0, 1], [3, 0]], "barrier": "absorbing"}),
+        (["sample", "--p", "0.4", "--q", "0.6", "--barrier", "absorbing", "--start", "3",
+          "--scheme", "faces", "--trials", "20", "--horizon", "30", "--seed", "2"],
+         {"p": 0.4, "q": 0.6, "barrier": "absorbing", "start": 3, "scheme": "faces",
+          "trials": 20, "horizon": 30, "seed": 2}),
+        (["simplex", "--p", "1", "--q", "0", "--scheme", "vertices", "--horizon", "20"],
+         {"p": 1, "q": 0, "scheme": "vertices", "horizon": 20}),
+        (["weyl", "--n", "3", "--ensemble", "unitary", "--tol", "1", "--trials", "3",
+          "--seed", "1", "--format", "json"],
+         {"n": 3, "ensemble": "unitary", "tol": 1, "trials": 3, "seed": 1, "format": "json"}),
+        (["cuntz", "--max-size", "3", "--format", "csv"], {"max_size": 3, "format": "csv"}),
+        (["ktheory", "--max-size", "3"], {"max_size": 3}),
+    ])
+    def test_config_file_and_flags_give_the_same_report(self, tmp_path, monkeypatch, argv,
+                                                        content):
+        # an integral float from a file (`{"p": 1}`) is recorded as the flag
+        # records it (1.0)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(content))
+        assert run(argv + ["--output", "r.out"]) == 0
+        from_flags = without_timestamp("r.out")
+        assert run([argv[0], "--config", "cfg.json", "--output", "r.out"]) == 0
+        assert without_timestamp("r.out") == from_flags
+
+
+class TestParserSurface:
+    # each subcommand's flags as (option, dest, type, choices), recorded from
+    # the parser that listed argparse keywords per flag by hand
+    COMMON = [("--config", "config", None, None), ("--seed", "seed", int, None),
+              ("--output", "output", None, None), ("--format", "format", None, ["json", "csv"])]
+    WALK = [("--p", "p", float, None), ("--q", "q", float, None),
+            ("--barrier", "barrier", None, ["absorbing", "reflecting"]),
+            ("--start", "start", int, None), ("--initial", "initial", None, None)]
+    SCHEME = [("--scheme", "scheme", None, ["barycenter", "faces", "vertices"])]
+    SURFACE = {
+        "walk": COMMON + WALK + [("--length", "length", int, None),
+                                 ("--trials", "trials", int, None)],
+        "sample": COMMON + WALK + SCHEME + [("--trials", "trials", int, None),
+                                            ("--horizon", "horizon", int, None)],
+        "simplex": COMMON + WALK + SCHEME + [("--horizon", "horizon", int, None)],
+        "weyl": COMMON + [("--n", "n", int, None),
+                          ("--ensemble", "ensemble", None, ["hermitian", "normal", "unitary"]),
+                          ("--tol", "tol", float, None), ("--trials", "trials", int, None)],
+        "cuntz": COMMON + [("--max-size", "max_size", int, None)],
+        "ktheory": COMMON + [("--max-size", "max_size", int, None)],
+        "summary": [(None, "path", None, None)],
+    }
+
+    def test_flags_keep_their_names_types_and_choices(self):
+        parser = _build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(self.SURFACE)
+        for name, subparser in sub.choices.items():
+            surface = [(" ".join(a.option_strings) or None, a.dest, a.type,
+                        None if a.choices is None else list(a.choices))
+                       for a in subparser._actions if not isinstance(a, argparse._HelpAction)]
+            assert surface == self.SURFACE[name], name
+
+
 class TestReports:
     def test_sample_report_schema(self, tmp_path):
         out = str(tmp_path / "s.jsonl")
@@ -334,6 +426,31 @@ class TestSummary:
 
     def test_unreadable_exits_2(self, tmp_path):
         assert run(["summary", str(tmp_path / "missing.jsonl")]) == 2
+
+    @pytest.mark.parametrize("body", [
+        '{"config": {}}\n5\n',
+        '{"config": {}}\n{"estimate": 0.5}\n',
+        "# config={}\ntrial,delta,d_u,gap,converged\n0,0.1,0.2,x,1\n",
+        "# config={}\ntrial,delta,d_u,gap,converged\n0,0.1,0.2\n",
+    ])
+    def test_malformed_report_exits_2(self, tmp_path, capsys, body):
+        report = tmp_path / "r.out"
+        report.write_text("# generated_at=now\n" + body)
+        assert run(["summary", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert json.loads(captured.err)["error"].startswith("malformed report: ")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_weyl_summary_same_for_both_formats(self, tmp_path, capsys, fmt):
+        out = str(tmp_path / "w.out")
+        run(["weyl", "--n", "2", "--trials", "4", "--seed", "5", "--format", fmt,
+             "--output", out])
+        assert run(["summary", out]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "4 records"
+        assert lines[1].startswith("max |gap| ") and lines[2].startswith("mean delta ")
 
 
 def test_cli_import_loads_no_scipy():

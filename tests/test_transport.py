@@ -331,6 +331,15 @@ class TestSpectralMeasure:
                        for atom, w in zip(sm.atoms, sm.weights)}
             assert weights == {1j: Fraction(2, 3), 0j: Fraction(1, 3)}
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_chain_of_neighbours_is_one_atom(self, n):
+        # neighbours 0.9e-9 apart, ends up to 6.3e-9 apart, in shuffled
+        # order: the longest chain an n x n matrix can hold merges fully
+        chain = np.random.default_rng(n).permutation(n - 1) * 0.9e-9
+        sm = spectral_measure(np.diag(np.append(chain, 5.0)))
+        assert sm.weights == (Fraction(n - 1, n), Fraction(1, n))
+        assert sm.atoms[1] == 5.0 and abs(sm.atoms[0] - (n - 2) * 0.45e-9) < 1e-18
+
     def test_winf_pair_hermitian_equals_matching(self):
         rng = stream(42)
         for n in (2, 3, 5):
