@@ -23,6 +23,7 @@ the compact element of the same value.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -198,16 +199,9 @@ class LscStep:
         lo, hi = _as_fraction(lo), _as_fraction(hi)
         if not (0 <= lo < hi <= 1):
             raise ValueError("need 0 <= lo < hi <= 1")
-        v = as_extnat(value)
-        zero = ExtNat(0)
         bps = tuple(b for b in (lo, hi) if 0 < b < 1)
-        if not bps:
-            return cls((), (v,), (), zero, zero)
-        if len(bps) == 2:
-            return cls(bps, (zero, v, zero), (zero, zero), zero, zero)
-        if lo == 0:  # single interior breakpoint at hi
-            return cls(bps, (v, zero), (zero,), zero, zero)
-        return cls(bps, (zero, v), (zero,), zero, zero)
+        ivals = (0,) * (lo > 0) + (value,) + (0,) * (hi < 1)
+        return cls(bps, ivals, (0,) * len(bps), 0, 0)
 
     def value_at(self, x) -> ExtNat:
         x = _as_fraction(x)
@@ -217,12 +211,10 @@ class LscStep:
             return self.left_value
         if x == 1:
             return self.right_value
-        for i, b in enumerate(self.breakpoints):
-            if x == b:
-                return self.breakpoint_values[i]
-            if x < b:
-                return self.interval_values[i]
-        return self.interval_values[-1]
+        i = bisect_left(self.breakpoints, x)
+        if i < len(self.breakpoints) and self.breakpoints[i] == x:
+            return self.breakpoint_values[i]
+        return self.interval_values[i]
 
 
 def _zip_regions(f: LscStep, g: LscStep):

@@ -78,25 +78,12 @@ class IntMatrix:
                              for j in range(other.cols)))
         return IntMatrix(self.rows, other.cols, tuple(out))
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        self._check_same_shape(other)
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(a + b for a, b in zip(ra, rb))
-                               for ra, rb in zip(self.entries, other.entries)))
-
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        self._check_same_shape(other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
         return IntMatrix(self.rows, self.cols,
                          tuple(tuple(a - b for a, b in zip(ra, rb))
                                for ra, rb in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(-a for a in row) for row in self.entries))
-
-    def _check_same_shape(self, other: "IntMatrix") -> None:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))

@@ -14,9 +14,9 @@ between *known free* groups, so each unknown slot X sits in a five-term
 window  V --a--> W --> X --> Y --d--> Z  where a and d are data.  Exactness
 forces a short exact sequence 0 -> coker(a) -> X -> ker(d) -> 0, and since
 ker(d) is a subgroup of a free group it is free and the extension splits.
-Whenever one of the two constraints is not available (a nonzero flanking
-group whose adjacent map cannot be expressed over free bases), the solver
-answers `UNDETERMINED` rather than guessing an extension.
+Solver and audit read each window once (`_window`): the solver answers
+coker(a) + ker(d), or `UNDETERMINED` rather than guess an extension when a
+nonzero flanking group lacks its map; the audit checks ranks and torsion.
 
 Orientation conventions (fixed once, used consistently):
 
@@ -34,25 +34,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intlinalg import (
-    ZERO_GROUP,
-    Z,
-    FGAbelianGroup,
-    IntMatrix,
-    cokernel,
-    kernel_rank,
-    rank,
-)
+from .intlinalg import ZERO_GROUP, Z, FGAbelianGroup, IntMatrix, cokernel, kernel_rank, rank
 
 SLOT_NAMES = ("k0_ideal", "k0_algebra", "k0_quotient",
               "k1_ideal", "k1_algebra", "k1_quotient")
 MAP_NAMES = ("iota0", "pi0", "exp_map", "iota1", "pi1", "index_map")
-
-_CORNER_PAIRS = {
-    "ideal": ("k0_ideal", "k1_ideal"),
-    "algebra": ("k0_algebra", "k1_algebra"),
-    "quotient": ("k0_quotient", "k1_quotient"),
-}
 
 
 class InconsistentDataError(ValueError):
@@ -118,11 +104,10 @@ class SixTermProblem:
 
 
 def _unknown_positions(problem: SixTermProblem) -> tuple[int, int]:
+    """The two unknown slots, which must be one corner: slots c and c + 3."""
     unknown = tuple(i for i, g in enumerate(problem.slots()) if g is None)
-    for pair in _CORNER_PAIRS.values():
-        positions = tuple(SLOT_NAMES.index(name) for name in pair)
-        if unknown == positions:
-            return positions
+    if len(unknown) == 2 and unknown[1] == unknown[0] + 3:
+        return unknown
     raise InconsistentDataError(
         f"unknown slots must be the two K-groups of one corner, got "
         f"{tuple(SLOT_NAMES[i] for i in unknown)}")
@@ -169,6 +154,18 @@ def _check_exactness_of_knowns(problem: SixTermProblem) -> None:
                 "subgroup of the kernel: not exact")
 
 
+def _window(slots, maps, x: int):
+    """(coker(a), ker(d)) of the window at unknown slot x; a part is 0 when
+    its flanking group W or Y is 0, None when that group is nonzero and its
+    map is not given."""
+    w, y = slots[(x - 1) % 6], slots[(x + 1) % 6]
+    into_w, out_of_y = maps[(x - 2) % 6], maps[(x + 1) % 6]
+    sub = ZERO_GROUP if w.is_zero else None if into_w is None else cokernel(into_w)
+    quot = (ZERO_GROUP if y.is_zero else None if out_of_y is None
+            else FGAbelianGroup.free(kernel_rank(out_of_y)))
+    return sub, quot
+
+
 def solve_six_term(problem: SixTermProblem):
     """Fill in the unknown corner of a six-term sequence, if it is forced.
 
@@ -184,28 +181,8 @@ def solve_six_term(problem: SixTermProblem):
     maps = problem.maps()
     solution: dict[str, FGAbelianGroup] = {}
     for x in positions:
-        w = slots[(x - 1) % 6]
-        y = slots[(x + 1) % 6]
-        into_w = maps[(x - 2) % 6]   # a: V -> W, so coker(a) injects into X
-        out_of_y = maps[(x + 1) % 6]  # d: Y -> Z, so X surjects onto ker(d)
-
-        if w.is_zero:
-            sub = ZERO_GROUP
-        elif into_w is not None:
-            sub = cokernel(into_w)
-        else:
-            return UNDETERMINED
-
-        if y.is_zero:
-            quot = ZERO_GROUP
-        elif out_of_y is not None:
-            quot = FGAbelianGroup.free(kernel_rank(out_of_y))
-        else:
-            return UNDETERMINED
-
-        if not quot.is_free:
-            # unreachable with matrix data (subgroups of free groups are
-            # free), kept as the guard the splitting argument relies on
+        sub, quot = _window(slots, maps, x)
+        if sub is None or quot is None:
             return UNDETERMINED
         solution[SLOT_NAMES[x]] = sub.direct_sum(quot)
     return solution
@@ -216,47 +193,28 @@ def audit_exactness(problem: SixTermProblem, solution: dict[str, FGAbelianGroup]
 
     With r_i the rank of the image of map i, exactness forces
     rank(G_j) = r_{j-1} + r_j at every node j, and the torsion of a solved
-    slot must be exactly the torsion contributed by the cokernel it extends.
+    slot must be exactly the torsion of the cokernel coker(a) it extends.
     """
     slots = list(problem.slots())
     maps = problem.maps()
     positions = _unknown_positions(problem)
+    sub = {x: _window(slots, maps, x)[0] for x in positions}
     for x in positions:
         slots[x] = solution[SLOT_NAMES[x]]
 
-    def sub_rank_at(x: int) -> int:
-        """Rank of the coker(a) part sitting inside the solved slot x."""
-        w = slots[(x - 1) % 6]
-        into_w = maps[(x - 2) % 6]
-        if w.is_zero:
-            return 0
-        if into_w is None:
-            raise InconsistentDataError("audit requires the maps the solver used")
-        return cokernel(into_w).free_rank
-
     image_rank = [0] * 6
     for i in range(6):
+        x = i if i in positions else (i + 1) % 6
         if maps[i] is not None:
             image_rank[i] = rank(maps[i])
-        elif i in positions:  # constructed map X ->> ker(d) <= Y
-            image_rank[i] = slots[i].free_rank - sub_rank_at(i)
-        elif (i + 1) % 6 in positions:  # constructed map W ->> coker(a) <= X
-            image_rank[i] = sub_rank_at((i + 1) % 6)
-        else:
+        elif x not in positions:
             raise InconsistentDataError(f"map {MAP_NAMES[i]} missing away from the unknown corner")
-
-    for j in range(6):
-        if slots[j].free_rank != image_rank[(j - 1) % 6] + image_rank[j]:
-            return False
-    for x in positions:
-        w = slots[(x - 1) % 6]
-        if w.is_zero:
-            sub_torsion: tuple[int, ...] = ()
-        else:
-            sub_torsion = cokernel(maps[(x - 2) % 6]).torsion
-        if slots[x].torsion != sub_torsion:
-            return False
-    return True
+        elif sub[x] is None:
+            raise InconsistentDataError("audit requires the maps the solver used")
+        else:  # constructed maps: X ->> ker(d) <= Y out of x, W ->> coker(a) <= X into x
+            image_rank[i] = slots[x].free_rank - sub[x].free_rank if x == i else sub[x].free_rank
+    return (all(slots[j].free_rank == image_rank[j - 1] + image_rank[j] for j in range(6))
+            and all(slots[x].torsion == sub[x].torsion for x in positions))
 
 
 def k_dimension_drop(p: int, q: int) -> tuple[FGAbelianGroup, FGAbelianGroup]:

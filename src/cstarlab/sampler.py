@@ -216,11 +216,12 @@ def sample_algebra(params: WalkParams, scheme: MeasureScheme, horizon: int,
     return descriptor, diagnostics
 
 
-def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z95) -> tuple[float, float]:
-    """Wilson score interval; stable at proportions near 0 and 1, and
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95 % Wilson score interval; stable at proportions near 0 and 1, and
     exactly 0 (resp. 1) at the end reached by 0 (resp. `trials`) successes."""
     if trials < 1:
         raise InvalidParamsError("trials must be >= 1")
+    z = _WILSON_Z95
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

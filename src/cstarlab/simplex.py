@@ -383,7 +383,7 @@ def top_vertex_images(tower: SimplexTower, level_m: int) -> np.ndarray:
     return buf[:, : dims[level_m] + 1].copy()
 
 
-def covering_radius(tower: SimplexTower, level_m: int, *, resolution: int = 8) -> float:
+def covering_radius(tower: SimplexTower, level_m: int) -> float:
     """How far the 1/8-grid of the level-m simplex can be from the pushed-down set.
 
     The point set is the top-vertex images of all levels above m; when there
@@ -394,7 +394,7 @@ def covering_radius(tower: SimplexTower, level_m: int, *, resolution: int = 8) -
     pts = top_vertex_images(tower, level_m)
     if pts.shape[0] == 0:
         pts = np.eye(dim + 1)
-    grid = barycentric_grid(dim, resolution)
+    grid = barycentric_grid(dim)
     radius = 0.0
     chunk = 4096
     for lo in range(0, grid.shape[0], chunk):

@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import inf, lcm
 from typing import Callable, Sequence
 
 import numpy as np
@@ -368,8 +368,8 @@ def unitary_distance(a, b, tol: float = 1e-8, *, seed: int = 0) -> UnitaryDistan
     na, nb = _as_normal(a), _as_normal(b)
     if na.n != nb.n:
         raise SizeMismatchError(f"matrix sizes differ: {na.n} vs {nb.n}")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     hermitian = na.is_hermitian and nb.is_hermitian
     if hermitian:
         (la, va), (lb, vb) = np.linalg.eigh(na.array), np.linalg.eigh(nb.array)

@@ -256,6 +256,22 @@ class TestConfigFile:
         assert capsys.readouterr().err == json.dumps({"error": error}) + "\n"
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
+    # a non-finite tolerance once certified every row (inf) or none (nan)
+    @pytest.mark.parametrize("argv, content, error", [
+        (["--tol", "inf"], {}, "tolerance must be positive and finite, got inf"),
+        (["--tol", "nan"], {}, "tolerance must be positive and finite, got nan"),
+        ([], {"tol": float("inf")}, "tolerance must be positive and finite, got inf"),
+    ])
+    def test_non_finite_tolerance_exits_2(self, tmp_path, monkeypatch, capsys, argv, content,
+                                          error):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(content))
+        assert run(["weyl", "--n", "2", "--trials", "2", "--config", "cfg.json"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == json.dumps({"error": error}) + "\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
 
     # config values of a type their flag refuses; every one of these ran
     # before config values were checked against the flags' key table

@@ -86,6 +86,44 @@ class TestSolveSixTerm:
             sol = solve_six_term(p)
             assert audit_exactness(p, sol)
 
+    def test_toeplitz_extension_from_the_ideal_side(self):
+        # K(T) = (Z, 0) and K(C(T)) = (Z, Z) with pi0 an isomorphism give K(K)
+        p = SixTermProblem(k0_algebra=Z, k1_algebra=ZERO_GROUP, k0_quotient=Z, k1_quotient=Z,
+                           pi0=IntMatrix.from_rows([[1]]), pi1=IntMatrix.zeros(1, 0))
+        sol = solve_six_term(p)
+        assert sol == {"k0_ideal": Z, "k1_ideal": ZERO_GROUP}
+        assert audit_exactness(p, sol)
+
+    def test_toeplitz_extension_from_the_quotient_side(self):
+        # K(K) = (Z, 0) and K(T) = (Z, 0) with iota0 = 0 give K(C(T))
+        p = SixTermProblem(k0_ideal=Z, k1_ideal=ZERO_GROUP, k0_algebra=Z, k1_algebra=ZERO_GROUP,
+                           iota0=IntMatrix.from_rows([[0]]), iota1=IntMatrix(0, 0, ()))
+        sol = solve_six_term(p)
+        assert sol == {"k0_quotient": Z, "k1_quotient": Z}
+        assert audit_exactness(p, sol)
+        more_rank = FGAbelianGroup.free(2)
+        more_torsion = Z.direct_sum(FGAbelianGroup.cyclic(2))
+        assert not audit_exactness(p, {**sol, "k0_quotient": more_rank})
+        assert not audit_exactness(p, {**sol, "k0_quotient": more_torsion})
+
+    def test_undetermined_without_outgoing_map(self):
+        # W = K0(J) is 0, so coker(a) is known; Y = K0(A/J) is Z and exp_map is missing
+        p = SixTermProblem.for_algebra(k0_ideal=ZERO_GROUP, k1_ideal=Z,
+                                       k0_quotient=Z, k1_quotient=ZERO_GROUP)
+        assert solve_six_term(p) is UNDETERMINED
+
+    @pytest.mark.parametrize("entry, message", [
+        (1, "maps into and out of k0_algebra do not compose to zero"),
+        (0, "rank defect at k0_algebra: not exact"),
+    ])
+    def test_inexact_known_maps(self, entry, message):
+        # Z --[entry]--> Z --[entry]--> Z: the identity twice, or zero twice
+        p = SixTermProblem(k0_ideal=Z, k0_algebra=Z, k0_quotient=Z,
+                           iota0=IntMatrix.from_rows([[entry]]),
+                           pi0=IntMatrix.from_rows([[entry]]))
+        with pytest.raises(InconsistentDataError, match=message):
+            _check_exactness_of_knowns(p)
+
 
 class TestToeplitz:
     def test_paper_values(self):

@@ -197,9 +197,10 @@ class TestUnitaryDistance:
         with pytest.raises(SizeMismatchError):
             unitary_distance(np.eye(2), np.eye(3))
 
-    def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            unitary_distance(np.eye(2), np.eye(2), tol=0.0)
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("inf"), float("nan")])
+    def test_bad_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            unitary_distance(np.eye(2), np.eye(2), tol=tol)
 
 
 class TestDiscreteMeasure:
