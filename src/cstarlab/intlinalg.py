@@ -22,6 +22,7 @@ keeps; `smith_normal_form` leaves its own diagonal there too.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -49,8 +50,8 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]], *, cols: int | None = None) -> "IntMatrix":
-        """Build from any nested iterable; `cols` disambiguates empty rows."""
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        """Build from any nested iterable of integers; `cols` disambiguates empty rows."""
+        data = tuple(tuple(operator.index(x) for x in row) for row in rows)
         ncols = cols if cols is not None else (len(data[0]) if data else 0)
         return cls(len(data), ncols, data)
 

@@ -25,6 +25,7 @@ exactly in rationals.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -58,9 +59,10 @@ class WalkClass(enum.Enum):
 class WalkParams:
     """Transition data (p up, q down, barrier mode) plus initial distribution.
 
-    `initial` maps states to probabilities; it must have finite support,
-    nonnegative weights, and sum to 1 within 1e-12.  The default starts
-    at 0.
+    `initial` maps integer states to probabilities, as a mapping or as
+    (state, weight) pairs; it must have finite support, nonnegative weights,
+    and sum to 1 within 1e-12.  A non-integer state raises TypeError.  The
+    default starts at 0.
     """
 
     p: float
@@ -78,16 +80,14 @@ class WalkParams:
             raise InvalidParamsError(f"p + q must equal 1, got {self.p + self.q}")
         if not isinstance(self.barrier, Barrier):
             raise InvalidParamsError(f"barrier must be a Barrier, got {self.barrier!r}")
-        if isinstance(self.initial, Mapping):
-            pairs = tuple(sorted(self.initial.items()))
-        else:
-            pairs = tuple(sorted((int(s), float(w)) for s, w in self.initial))
+        items = self.initial.items() if isinstance(self.initial, Mapping) else self.initial
+        pairs = tuple(sorted((operator.index(s), float(w)) for s, w in items))
         if not pairs:
             raise InvalidParamsError("initial distribution must have nonempty support")
         for state, weight in pairs:
             if state < 0:
                 raise InvalidParamsError(f"states must be nonnegative, got {state}")
-            if weight < 0:
+            if not weight >= 0:
                 raise InvalidParamsError(f"initial weights must be nonnegative, got {weight}")
         if len({s for s, _ in pairs}) != len(pairs):
             raise InvalidParamsError("initial distribution lists a state twice")

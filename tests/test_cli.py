@@ -152,11 +152,18 @@ class TestValidation:
         assert rc == 3
         assert out.exists()
 
-    # exact stderr records, recorded before the subcommands shared one option table
+    # exact stderr records; the first three were recorded before the
+    # subcommands shared one option table
     @pytest.mark.parametrize("argv, error", [
         (["simplex", "--horizon", "10"], "--p is required"),
         (["weyl", "--n", "3", "--trials", "0"], "trials must be >= 1"),
         (["cuntz", "--config", "cfg.json"], "unknown config keys: ['seed']"),
+        (["walk", "--p", "0.5", "--config", "missing.json"],
+         "cannot read config file: [Errno 2] No such file or directory: 'missing.json'"),
+        (["walk", "--p", "0.5", "--config", "."],
+         "cannot read config file: [Errno 21] Is a directory: '.'"),
+        (["simplex", "--p", "0.5", "--barrier", "absorbing", "--start", "0"],
+         "trajectory too short to build a tower (absorbed immediately)"),
     ])
     def test_invalid_config_error_record(self, tmp_path, monkeypatch, capsys, argv, error):
         # cuntz accepts --seed as a flag and ignores it, but not as a config key
@@ -192,6 +199,20 @@ class TestValidation:
         assert capsys.readouterr().err == json.dumps(
             {"error": "initial must be a JSON list of [state, weight] pairs"}) + "\n"
         assert not out.exists()
+
+    # NaN fails neither a `< 0` test nor the sum test, and a report cannot
+    # record it as JSON
+    @pytest.mark.parametrize("argv, content", [
+        (["--initial", "[[0, NaN], [3, 1.0]]"], "{}"),
+        ([], '{"initial": [[0, NaN], [3, 1.0]]}'),
+    ])
+    def test_nan_initial_weight_exits_2(self, tmp_path, monkeypatch, capsys, argv, content):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(content)
+        assert run(["walk", "--p", "0.5", "--config", "cfg.json", "--output", "r.out"] + argv) == 2
+        assert capsys.readouterr().err == json.dumps(
+            {"error": "initial weights must be nonnegative, got nan"}) + "\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
     def test_unwritable_output_exits_2_without_temp_file(self, tmp_path, capsys):
         out = tmp_path / "nodir" / "x.jsonl"
@@ -387,6 +408,13 @@ class TestReports:
         tower = SimplexTower.from_json(json.dumps(record["tower"]))
         assert len(tower.dims) == 31
 
+    def test_simplex_tower_cut_at_absorption(self, tmp_path):
+        # 2 -> 1 -> 0 and absorbed: the tower stops at the first zero
+        out = str(tmp_path / "t.jsonl")
+        assert run(["simplex", "--p", "0.3", "--barrier", "absorbing", "--start", "2",
+                    "--horizon", "50", "--seed", "3", "--output", out]) == 0
+        assert json.loads(strip_header(out)[1])["tower"]["dims"] == [2, 1, 0]
+
     @pytest.mark.parametrize("scheme", ["barycenter", "vertices", "faces"])
     def test_simplex_tower_line_is_sorted_json(self, tmp_path, scheme):
         out = str(tmp_path / "t.jsonl")
@@ -424,6 +452,13 @@ class TestSummary:
         assert run(["summary", out]) == 0
         printed = capsys.readouterr().out
         assert "estimate" in printed
+
+    def test_walk_summary(self, tmp_path, capsys):
+        out = str(tmp_path / "w.jsonl")
+        assert run(["walk", "--p", "0.5", "--trials", "4", "--length", "20",
+                    "--output", out]) == 0
+        assert run(["summary", out]) == 0
+        assert "frequency_hit_zero 0.750000 over 4 trials" in capsys.readouterr().out.splitlines()
 
     def test_idempotent(self, tmp_path, capsys):
         out = str(tmp_path / "s.jsonl")

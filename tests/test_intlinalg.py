@@ -1,5 +1,6 @@
 import signal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -258,5 +259,8 @@ def test_matrix_validation():
         IntMatrix(1, 2, ((1,),))
     with pytest.raises(TypeError):
         IntMatrix(1, 1, ((1.5,),))
+    with pytest.raises(TypeError):
+        IntMatrix.from_rows([[1.5, 2]])
+    assert IntMatrix.from_rows(np.array([[1, 2]])).entries == ((1, 2),)
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2]]) @ IntMatrix.from_rows([[1, 2]])

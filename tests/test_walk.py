@@ -45,6 +45,23 @@ class TestParams:
         params = WalkParams(p=0.5, initial={2: 0.25, 0: 0.75})
         assert params.initial == ((0, 0.75), (2, 0.25))
 
+    def test_initial_forms_agree(self):
+        # a mapping and a pair list store the same Python ints and floats
+        for initial in ({2: 1}, [(2, 1)], {np.int64(2): np.float64(1)}):
+            params = WalkParams(p=0.5, initial=initial)
+            assert params.initial == ((2, 1.0),)
+            assert [type(x) for x in params.initial[0]] == [int, float]
+
+    @pytest.mark.parametrize("initial", [[(1.5, 1.0)], {1.5: 1.0}, [(np.float64(1), 1.0)]])
+    def test_initial_non_integer_state_refused(self, initial):
+        with pytest.raises(TypeError):
+            WalkParams(p=0.5, initial=initial)
+
+    @pytest.mark.parametrize("initial", [[(0, math.nan), (3, 1.0)], {0: math.nan, 3: 1.0}])
+    def test_initial_nan_weight_refused(self, initial):
+        with pytest.raises(InvalidParamsError, match="nonnegative, got nan"):
+            WalkParams(p=0.5, initial=initial)
+
 
 class TestSampleTrajectory:
     def test_pure_drift(self):
