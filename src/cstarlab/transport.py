@@ -1,25 +1,30 @@
 """Spectral distances: optimal matching, unitary orbits, infinity-Wasserstein.
 
 Three routes to the same circle of quantities, on one threshold search
-whose probes are Dinic flows of integer supplies to integer demands:
+whose probes are Dinic flows of integer supplies to integer demands.  The
+search probes the Hausdorff distance h of the two sides first, a lower
+bound that is itself a candidate threshold (Gabow-Tarjan), and
+binary-searches the distances above h only when that probe fails:
 
 * `matching_distance` -- the bottleneck matching value between two
-  eigenvalue multisets, all supplies one (`bottleneck_brute_force` is the
+  eigenvalue multisets, all supplies one; real multisets take the sorted
+  closed form (Weyl) with no search (`bottleneck_brute_force` is the
   small-n oracle kept for verification);
 * `unitary_distance` -- the orbit distance inf_u ||a - u b u*|| between
   certified bounds, with a unitary attaining the upper one: eigenbases
   aligned along an optimal matching attain the matching distance delta,
   which is exact for Hermitian (Weyl: ascending spectra, no search) and
-  unitary (Bhatia-Davis) pairs; for other normal pairs the Hausdorff
-  distance and delta / 2.91 (Bhatia-Davis-Koosis) bound it below, and
-  multi-start descent runs only when that leaves a gap;
+  unitary (Bhatia-Davis) pairs; for other normal pairs h and
+  delta / 2.91 (Bhatia-Davis-Koosis) bound it below, and multi-start
+  descent runs only when that leaves a gap;
 * `wasserstein_inf` -- the bottleneck transport distance between discrete
   measures with rational weights, exact on atoms of integer mass w * D.
 
 For Hermitian and unitary pairs the first two agree, and the third reduces
 to the first on spectral counting measures; for general normal pairs the
 orbit distance is at most delta and can drop below it (from n = 3 on), so
-only the certified bounds are asserted.
+only the certified bounds are asserted.  NaN and infinite values are
+refused by every bottleneck entry point.
 """
 
 from __future__ import annotations
@@ -101,13 +106,28 @@ def _flow(adj: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> np.ndarray
     return result.flow[1:k + 1, k + 1:sink].toarray()
 
 
+def _hausdorff(dist: np.ndarray) -> float:
+    """Hausdorff distance of two finite sets from their distance matrix:
+    the largest row or column minimum."""
+    return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
+
+
 def _bottleneck_from_matrix(dist: np.ndarray, supply: np.ndarray,
                             demand: np.ndarray) -> tuple[float, np.ndarray]:
     """Smallest r such that {(i, j): dist_ij <= r} carries a flow of the
-    supplies to the demands, with one such flow."""
+    supplies to the demands, with one such flow.
+
+    Every row and column needs an edge, so r is at least the Hausdorff
+    distance h, itself an entry of `dist`: h is probed first (Gabow-Tarjan),
+    and only when it fails does a binary search run over the entries above
+    it.  The flow returned is always the one built at r itself."""
     values = np.unique(dist)
+    lo = int(np.searchsorted(values, _hausdorff(dist)))
+    best = _flow(dist <= values[lo], supply, demand)
+    if best is not None:
+        return float(values[lo]), best
     # values[-1] admits every pair: never probed, its flow is built last
-    lo, hi, best = -1, len(values) - 1, None
+    hi = len(values) - 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
         flow = _flow(dist <= values[mid], supply, demand)
@@ -130,17 +150,30 @@ def _value_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     av, bv = _as_values(a), _as_values(b)
     if av.size != bv.size:
         raise SizeMismatchError(f"multiset sizes differ: {av.size} vs {bv.size}")
+    if not (np.isfinite(av).all() and np.isfinite(bv).all()):
+        raise ValueError("multisets must be finite: no NaN or infinite values")
     return av, bv
+
+
+def _sorted_value(av: np.ndarray, bv: np.ndarray) -> float:
+    """Largest gap between the increasing rearrangements of two real
+    multisets.  Rounding |x - y| is monotone in the exact distance, so this
+    is bitwise the bottleneck value of `_distance_matrix` (Weyl)."""
+    return float(np.max(np.abs(np.sort(av.real) - np.sort(bv.real))))
 
 
 def matching_distance(a, b) -> float:
     """Bottleneck matching value between two equal-size multisets.
 
     Exact in the sense that the answer is always one of the pairwise
-    distances |a_i - b_j|, selected by threshold binary search with
-    matching feasibility tests.
+    distances |a_i - b_j|.  Real multisets (no nonzero imaginary part) take
+    the sorted closed form; complex ones the threshold search of
+    `_bottleneck_from_matrix`, which probes the Hausdorff distance first and
+    binary-searches the distances above it only if that probe fails.
     """
     av, bv = _value_pair(a, b)
+    if not (av.imag.any() or bv.imag.any()):
+        return _sorted_value(av, bv)
     ones = np.ones(av.size, dtype=np.intp)
     return _bottleneck_from_matrix(_distance_matrix(av, bv), ones, ones)[0]
 
@@ -165,9 +198,9 @@ def bottleneck_brute_force(a, b) -> float:
 def sorted_matching_value(a, b) -> float:
     """Matching value of the increasing rearrangements (real multisets)."""
     av, bv = _value_pair(a, b)
-    if np.abs(av.imag).max() > 0 or np.abs(bv.imag).max() > 0:
+    if av.imag.any() or bv.imag.any():
         raise ValueError("sorted matching is defined for real multisets")
-    return float(np.max(np.abs(np.sort(av.real) - np.sort(bv.real))))
+    return _sorted_value(av, bv)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +406,7 @@ def unitary_distance(a, b, tol: float = 1e-8, *, seed: int = 0) -> UnitaryDistan
     hermitian = na.is_hermitian and nb.is_hermitian
     if hermitian:
         (la, va), (lb, vb) = np.linalg.eigh(na.array), np.linalg.eigh(nb.array)
-        delta = float(np.max(np.abs(la - lb)))
+        delta = _sorted_value(la, lb)
     else:
         (la, va), (lb, vb) = na.eigenbasis(), nb.eigenbasis()
         dist = _distance_matrix(la, lb)
@@ -386,8 +419,7 @@ def unitary_distance(a, b, tol: float = 1e-8, *, seed: int = 0) -> UnitaryDistan
     if hermitian or (na.is_unitary and nb.is_unitary):
         lower = delta
     else:
-        hausdorff = float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
-        lower = max(hausdorff, delta / BDK_CONSTANT)
+        lower = max(_hausdorff(dist), delta / BDK_CONSTANT)
         if value - lower > tol:
             found, best_u, start_index, n_starts, iterations = _descend(
                 na, nb, u, lower + tol, tol, seed)
@@ -553,6 +585,8 @@ def wasserstein_inf(mu: DiscreteMeasure, nu: DiscreteMeasure,
                                 np.asarray(nu.atoms, dtype=complex))
     else:
         dist = np.array([[float(metric(x, y)) for y in nu.atoms] for x in mu.atoms])
+    if not np.isfinite(dist).all():
+        raise ValueError("atom distances must be finite: no NaN or infinite values")
     return _bottleneck_from_matrix(dist, supply, demand)[0]
 
 

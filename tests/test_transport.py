@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import cstarlab.transport as transport
 from cstarlab.rng import stream
 from cstarlab.transport import (
     DiscreteMeasure,
@@ -77,6 +78,86 @@ class TestMatchingDistance:
         assert matching_distance((1.0, 2.0), (2.0, 1.0)) == 0.0
         with pytest.raises(ValueError):
             matching_distance((), ())
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan),
+                                     complex(math.inf, 1.0)])
+    @pytest.mark.parametrize("route", [matching_distance, sorted_matching_value,
+                                       bottleneck_brute_force])
+    def test_non_finite_values_refused(self, route, bad):
+        with pytest.raises(ValueError, match="finite"):
+            route([bad, 1.0], [bad, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            route([0.0, 1.0], [1.0, bad])
+
+
+def _hausdorff_and_brute(a, b):
+    dist = np.abs(a[:, None] - b[None, :])
+    h = max(dist.min(axis=1).max(), dist.min(axis=0).max())
+    return h, bottleneck_brute_force(a, b)
+
+
+class TestBottleneckSearch:
+    """The threshold search starts at the Hausdorff distance h <= delta;
+    real multisets take the sorted closed form with no search."""
+
+    @pytest.fixture
+    def probes(self, monkeypatch):
+        counted = []
+        flow = transport._flow
+
+        def counting_flow(*args):
+            counted.append(1)
+            return flow(*args)
+
+        monkeypatch.setattr(transport, "_flow", counting_flow)
+        return counted
+
+    def _complex_pairs(self, seed, count):
+        rng = stream(seed)
+        for _ in range(count):
+            n = int(rng.integers(2, 9))
+            yield (rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                   rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+    def test_one_probe_when_hausdorff_is_optimal(self, probes):
+        checked = 0
+        for a, b in self._complex_pairs(104, 120):
+            h, delta = _hausdorff_and_brute(a, b)
+            if h != delta:
+                continue
+            probes.clear()
+            assert matching_distance(a, b) == delta
+            assert len(probes) == 1
+            checked += 1
+        assert checked >= 40
+
+    def test_search_above_hausdorff_equals_brute_force(self):
+        checked = 0
+        for a, b in self._complex_pairs(105, 200):
+            h, delta = _hausdorff_and_brute(a, b)
+            if h < delta:
+                assert matching_distance(a, b) == delta
+                checked += 1
+        assert checked >= 20
+
+    def test_real_closed_form_equals_threshold_search(self, probes):
+        rng = stream(106)
+        for trial in range(150):
+            n = int(rng.integers(1, 65))
+            a, b = rng.standard_normal(n), rng.standard_normal(n)
+            if trial % 3 == 1:  # ties within and across the two sides
+                a, b = np.round(a, 1), np.round(b, 1)
+            ones = np.ones(n, dtype=np.intp)
+            search = transport._bottleneck_from_matrix(np.abs(a[:, None] - b[None, :]),
+                                                       ones, ones)[0]
+            probes.clear()
+            # a -0.0 imaginary part is no imaginary part
+            b_signed = b + 1j * np.full(n, -0.0) if trial % 2 else b
+            value = matching_distance(a, b_signed)
+            assert not probes
+            assert value == search
+            assert math.copysign(1.0, value) == 1.0
 
 
 class TestNormalMatrix:
@@ -288,6 +369,15 @@ class TestDiscreteMeasure:
         nu = DiscreteMeasure.point(1.0, space="circle")
         with pytest.raises(IncompatibleSpacesError):
             wasserstein_inf(mu, nu)
+
+    def test_non_finite_distances_refused(self):
+        mu = DiscreteMeasure.equal_weights((0.0, complex(math.inf, 0.0)))
+        with pytest.raises(ValueError, match="finite"):
+            wasserstein_inf(mu, DiscreteMeasure.point(1.0))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                wasserstein_inf(DiscreteMeasure.point(0.0), DiscreteMeasure.point(1.0),
+                                metric=lambda x, y, bad=bad: bad)
 
     def test_metric_oracle(self):
         mu = DiscreteMeasure.point((0.0, 0.0))
