@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -54,7 +55,6 @@ from .transport import (
     random_hermitian,
     random_normal,
     random_unitary,
-    sorted_matching_value,
     unitary_distance,
 )
 from .walk import Barrier, WalkParams, sample_trajectory
@@ -264,12 +264,10 @@ def _cmd_weyl(cfg: dict):
     for t in range(cfg["trials"]):
         rng = stream(seed, t)
         a, b = make(n, rng), make(n, rng)
-        if cfg["ensemble"] == "hermitian":
-            # real spectra: the sorted pairing is a bottleneck matching
-            delta = sorted_matching_value(np.linalg.eigvalsh(a.array),
-                                          np.linalg.eigvalsh(b.array))
-        else:
-            delta = matching_distance(a.spectrum(), b.spectrum())
+        # Hermitian pairs keep their eigvalsh spectra, on which the report bits depend
+        spectra = ((np.linalg.eigvalsh(a.array), np.linalg.eigvalsh(b.array))
+                   if cfg["ensemble"] == "hermitian" else (a.spectrum(), b.spectrum()))
+        delta = matching_distance(*spectra)
         res = unitary_distance(a, b, cfg["tol"], seed=mix64(seed, t))
         records.append({"trial": t, "delta": delta, "d_u": res.value,
                         "gap": res.value - delta, "converged": res.converged})
@@ -278,10 +276,12 @@ def _cmd_weyl(cfg: dict):
 
 def _cmd_cuntz(cfg: dict):
     max_size = cfg["max_size"]
+    # one dimension-drop model per pair; both checks read its boundary maps
     records = [{"p": p, "q": q, "gcd": math.gcd(p, q),
-                "k1_trivial": cuntz_mod.k1_trivial(*cuntz_mod.dimension_drop_boundary_maps(p, q)),
-                "unit_check": cuntz_mod.nccw_check(cuntz_mod.dimension_drop_unit(p, q))}
-               for p in range(1, max_size + 1) for q in range(p, max_size + 1)]
+                "k1_trivial": cuntz_mod.k1_trivial(unit.m0, unit.m1),
+                "unit_check": cuntz_mod.nccw_check(unit)}
+               for p in range(1, max_size + 1) for q in range(p, max_size + 1)
+               for unit in [cuntz_mod.dimension_drop_unit(p, q)]]
     half = cuntz_mod.LscStep.indicator(0, Fraction(1, 2))
     records.append({"dim_function_half_indicator": str(cuntz_mod.dim_function(half))})
     return cfg, records, 0
@@ -383,7 +383,9 @@ def report_summary(path: str) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing leaves no state on it."""
     parser = argparse.ArgumentParser(prog="cstarlab", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -400,9 +402,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str]) -> int:
     """Entry point returning the process exit status (0 / 2 / 3)."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     if args.command == "summary":

@@ -344,7 +344,3 @@ def det_bareiss(m: IntMatrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def is_unimodular(m: IntMatrix) -> bool:
-    return m.rows == m.cols and abs(det_bareiss(m)) == 1

@@ -104,9 +104,9 @@ class SixTermProblem:
         return tuple(getattr(self, name) for name in MAP_NAMES)
 
 
-def _unknown_positions(problem: SixTermProblem) -> tuple[int, int]:
+def _unknown_positions(slots) -> tuple[int, int]:
     """The two unknown slots, which must be one corner: slots c and c + 3."""
-    unknown = tuple(i for i, g in enumerate(problem.slots()) if g is None)
+    unknown = tuple(i for i, g in enumerate(slots) if g is None)
     if len(unknown) == 2 and unknown[1] == unknown[0] + 3:
         return unknown
     raise InconsistentDataError(
@@ -114,9 +114,8 @@ def _unknown_positions(problem: SixTermProblem) -> tuple[int, int]:
         f"{tuple(SLOT_NAMES[i] for i in unknown)}")
 
 
-def _check_map_shapes(problem: SixTermProblem) -> None:
-    slots = problem.slots()
-    for i, mat in enumerate(problem.maps()):
+def _check_map_shapes(slots, maps) -> None:
+    for i, mat in enumerate(maps):
         if mat is None:
             continue
         src, dst = slots[i], slots[(i + 1) % 6]
@@ -153,11 +152,9 @@ def solve_six_term(problem: SixTermProblem):
     InconsistentDataError when the unknown slots are not one corner, or a
     given map has an unknown or non-free end or the wrong shape.
     """
-    positions = _unknown_positions(problem)
-    _check_map_shapes(problem)
-
-    slots = problem.slots()
-    maps = problem.maps()
+    slots, maps = problem.slots(), problem.maps()
+    positions = _unknown_positions(slots)
+    _check_map_shapes(slots, maps)
     solution: dict[str, FGAbelianGroup] = {}
     for x in positions:
         sub, quot = _window(slots, maps, x)
@@ -174,9 +171,8 @@ def audit_exactness(problem: SixTermProblem, solution: dict[str, FGAbelianGroup]
     rank(G_j) = r_{j-1} + r_j at every node j, and the torsion of a solved
     slot must be exactly the torsion of the cokernel coker(a) it extends.
     """
-    slots = list(problem.slots())
-    maps = problem.maps()
-    positions = _unknown_positions(problem)
+    slots, maps = list(problem.slots()), problem.maps()
+    positions = _unknown_positions(slots)
     sub = {x: _window(slots, maps, x)[0] for x in positions}
     for x in positions:
         slots[x] = solution[SLOT_NAMES[x]]

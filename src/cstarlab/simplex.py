@@ -342,11 +342,6 @@ def pushdown(tower: SimplexTower, level_j: int, point: np.ndarray, level_m: int)
     return point
 
 
-def barycentric_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """Halved l1 distance; vertex-to-vertex distance is 1."""
-    return 0.5 * float(np.abs(np.asarray(x) - np.asarray(y)).sum())
-
-
 def barycentric_grid(dim: int, resolution: int = 8) -> np.ndarray:
     """All barycentric vectors on Delta_dim with coordinates in multiples of 1/resolution."""
     count = comb(resolution + dim, dim)
@@ -378,7 +373,7 @@ def top_vertex_images(tower: SimplexTower, level_m: int) -> np.ndarray:
         a, b = off[lev - 1], off[lev]
         if b > a:
             block = buf[: r + 1]
-            block[:, :last] += np.outer(block[:, last], coords[a:b])
+            block[:, :last] += block[:, last, None] * coords[a:b]
             block[:, last] = 0.0
     return buf[:, : dims[level_m] + 1].copy()
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import inf, lcm
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -561,17 +561,15 @@ class DiscreteMeasure:
         return lcm(*[w.denominator for w in self.weights])
 
 
-def wasserstein_inf(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                    metric: Callable | None = None) -> float:
+def wasserstein_inf(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Bottleneck transport distance between two rational discrete measures.
 
     Over the common denominator D of all weights (at most 2**31 - 1, the
     int32 flow capacity) each atom carries the integer mass w * D, and the
     value is the threshold search of `matching_distance` over the atom
-    distances with those masses as supplies and demands.  Without a
-    `metric` oracle the atoms are treated as complex numbers and distances
-    are computed exactly as in `matching_distance`, so the two routes are
-    bitwise comparable.
+    distances with those masses as supplies and demands.  The atoms are
+    complex numbers and their distances are computed exactly as in
+    `matching_distance`, so the two routes are bitwise comparable.
     """
     if mu.space is not None and nu.space is not None and mu.space != nu.space:
         raise IncompatibleSpacesError(f"measures live over {mu.space!r} vs {nu.space!r}")
@@ -580,11 +578,8 @@ def wasserstein_inf(mu: DiscreteMeasure, nu: DiscreteMeasure,
         raise ValueError(f"common denominator {denom} overflows int32 flow capacities")
     supply = np.array([int(w * denom) for w in mu.weights])
     demand = np.array([int(w * denom) for w in nu.weights])
-    if metric is None:
-        dist = _distance_matrix(np.asarray(mu.atoms, dtype=complex),
-                                np.asarray(nu.atoms, dtype=complex))
-    else:
-        dist = np.array([[float(metric(x, y)) for y in nu.atoms] for x in mu.atoms])
+    dist = _distance_matrix(np.asarray(mu.atoms, dtype=complex),
+                            np.asarray(nu.atoms, dtype=complex))
     if not np.isfinite(dist).all():
         raise ValueError("atom distances must be finite: no NaN or infinite values")
     return _bottleneck_from_matrix(dist, supply, demand)[0]

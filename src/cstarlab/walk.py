@@ -125,18 +125,6 @@ class Trajectory:
         return sum(1 for s in self.states[1:] if s == 0)
 
 
-def check_trajectory(traj: Trajectory, barrier: Barrier) -> None:
-    """Raise if the state sequence is impossible under the given barrier."""
-    for a, b in zip(traj.states, traj.states[1:]):
-        if a == 0:
-            if barrier is Barrier.REFLECTING and b != 1:
-                raise InvalidParamsError("reflecting walk must step 0 -> 1")
-            if barrier is Barrier.ABSORBING and b != 0:
-                raise InvalidParamsError("absorbing walk must stay at 0")
-        elif abs(a - b) != 1:
-            raise InvalidParamsError(f"interior steps must move by one, got {a} -> {b}")
-
-
 #: first-exit windows: the first is _FIRST_WINDOW steps wide, each next one
 #: twice as wide up to _MAX_WINDOW, which bounds a window block's memory
 _FIRST_WINDOW = 64

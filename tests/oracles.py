@@ -19,7 +19,11 @@ import numpy as np
 from cstarlab.intlinalg import IntMatrix, det_bareiss
 from cstarlab.rng import stream
 from cstarlab.simplex import MeasureScheme, TowerMap
-from cstarlab.walk import Barrier, WalkParams
+from cstarlab.walk import Barrier, InvalidParamsError, Trajectory, WalkParams
+
+
+def is_unimodular(m: IntMatrix) -> bool:
+    return m.rows == m.cols and abs(det_bareiss(m)) == 1
 
 
 def surjective_box_search(m: IntMatrix, bound: int) -> bool:
@@ -176,3 +180,20 @@ def reference_top_vertex_images(dims, maps, level_m: int) -> np.ndarray:
         top[0, -1] = 1.0
         batch = _apply_map(maps[lev - 1], np.vstack([batch, top]))
     return batch
+
+
+def check_trajectory(traj: Trajectory, barrier: Barrier) -> None:
+    """Raise if the state sequence is impossible under the given barrier."""
+    for a, b in zip(traj.states, traj.states[1:]):
+        if a == 0:
+            if barrier is Barrier.REFLECTING and b != 1:
+                raise InvalidParamsError("reflecting walk must step 0 -> 1")
+            if barrier is Barrier.ABSORBING and b != 0:
+                raise InvalidParamsError("absorbing walk must stay at 0")
+        elif abs(a - b) != 1:
+            raise InvalidParamsError(f"interior steps must move by one, got {a} -> {b}")
+
+
+def barycentric_distance(x: np.ndarray, y: np.ndarray) -> float:
+    """Halved l1 distance; vertex-to-vertex distance is 1."""
+    return 0.5 * float(np.abs(np.asarray(x) - np.asarray(y)).sum())

@@ -381,6 +381,38 @@ class TestParserSurface:
             assert surface == self.SURFACE[name], name
 
 
+class TestParserReuse:
+    """`run` parses every call with the process's one parser."""
+
+    def test_second_run_constructs_no_parser(self, monkeypatch, capsys):
+        assert run(["cuntz", "--help"]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+        assert run(["ktheory", "--help"]) == 0
+        assert built == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["weyl", "--help"], ["summary", "--help"]])
+    def test_help_is_the_same_on_every_call(self, monkeypatch, capsys, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        texts = []
+        for _ in range(2):
+            assert run(argv) == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and texts[0].startswith("usage: cstarlab")
+
+    @pytest.mark.parametrize("bad", [["cuntz", "--max-size", "x"], ["cuntz", "--bogus"],
+                                     ["cuntz", "--max-size", "0"], ["nonsense"]])
+    def test_failed_call_leaves_next_report_on_its_digest(self, tmp_path, monkeypatch, capsys,
+                                                          bad):
+        monkeypatch.chdir(tmp_path)
+        assert run(bad + ["--output", "report.jsonl"]) == 2
+        assert run(["cuntz", "--max-size", "8", "--output", "report.jsonl"]) == 0
+        assert hashlib.sha256(without_timestamp("report.jsonl")).hexdigest() == (
+            "93d23cd8f9b2322431506004948d92546da78ebe45dd1763601e2dadc8203f87")
+
+
 class TestReports:
     def test_sample_report_schema(self, tmp_path):
         out = str(tmp_path / "s.jsonl")

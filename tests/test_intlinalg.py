@@ -14,14 +14,13 @@ from cstarlab.intlinalg import (
     cokernel,
     det_bareiss,
     invariant_factors,
-    is_unimodular,
     kernel_rank,
     rank,
     smith_normal_form,
 )
 from cstarlab.rng import stream
 
-from oracles import random_unimodular
+from oracles import is_unimodular, random_unimodular
 
 
 @st.composite

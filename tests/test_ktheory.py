@@ -76,6 +76,29 @@ class TestSolveSixTerm:
         with pytest.raises(InconsistentDataError):
             solve_six_term(bad)
 
+    def test_map_between_non_free_groups_rejected(self):
+        p = SixTermProblem.for_algebra(
+            k0_ideal=FGAbelianGroup.cyclic(2), k1_ideal=Z, k0_quotient=Z, k1_quotient=Z,
+            index_map=IntMatrix.from_rows([[1]]))
+        with pytest.raises(InconsistentDataError, match="index_map given between non-free"):
+            solve_six_term(p)
+
+    def test_audit_refuses_missing_map_away_from_the_corner(self):
+        # exp_map runs K0(A/J) = Z -> K1(J) = Z, both ends nonzero and known
+        p = SixTermProblem.for_algebra(k0_ideal=ZERO_GROUP, k1_ideal=Z,
+                                       k0_quotient=Z, k1_quotient=ZERO_GROUP)
+        with pytest.raises(InconsistentDataError,
+                           match="exp_map missing away from the unknown corner"):
+            audit_exactness(p, {"k0_algebra": Z, "k1_algebra": Z})
+
+    def test_audit_refuses_window_without_the_solvers_map(self):
+        # K0(J) = Z needs index_map into it to bound K0(A); the solver gives up
+        p = SixTermProblem.for_algebra(k0_ideal=Z, k1_ideal=ZERO_GROUP,
+                                       k0_quotient=ZERO_GROUP, k1_quotient=Z)
+        assert solve_six_term(p) is UNDETERMINED
+        with pytest.raises(InconsistentDataError, match="audit requires the maps the solver used"):
+            audit_exactness(p, {"k0_algebra": Z, "k1_algebra": ZERO_GROUP})
+
     def test_audit_on_solved_problems(self):
         for p in [toeplitz_problem(1), toeplitz_problem(-1)]:
             sol = solve_six_term(p)

@@ -12,7 +12,6 @@ from cstarlab.simplex import (
     MeasureScheme,
     SimplexTower,
     TowerMap,
-    barycentric_distance,
     barycentric_grid,
     build_tower,
     covering_radius,
@@ -23,7 +22,13 @@ from cstarlab.simplex import (
     top_vertex_images,
 )
 from cstarlab.walk import WalkParams, sample_trajectory
-from oracles import reference_pushdown, reference_top_vertex_images, reference_tower, tower_doc
+from oracles import (
+    barycentric_distance,
+    reference_pushdown,
+    reference_top_vertex_images,
+    reference_tower,
+    tower_doc,
+)
 
 SCHEMES = list(MeasureScheme)
 

@@ -371,19 +371,17 @@ class TestDiscreteMeasure:
             wasserstein_inf(mu, nu)
 
     def test_non_finite_distances_refused(self):
-        mu = DiscreteMeasure.equal_weights((0.0, complex(math.inf, 0.0)))
-        with pytest.raises(ValueError, match="finite"):
-            wasserstein_inf(mu, DiscreteMeasure.point(1.0))
         for bad in (math.nan, math.inf):
+            mu = DiscreteMeasure.equal_weights((0.0, complex(bad, 0.0)))
             with pytest.raises(ValueError, match="finite"):
-                wasserstein_inf(DiscreteMeasure.point(0.0), DiscreteMeasure.point(1.0),
-                                metric=lambda x, y, bad=bad: bad)
+                wasserstein_inf(mu, DiscreteMeasure.point(1.0))
+            with pytest.raises(ValueError, match="finite"):
+                wasserstein_inf(DiscreteMeasure.point(0.0), DiscreteMeasure.point(complex(0.0, bad)))
 
-    def test_metric_oracle(self):
-        mu = DiscreteMeasure.point((0.0, 0.0))
-        nu = DiscreteMeasure.point((3.0, 4.0))
-        value = wasserstein_inf(mu, nu, metric=lambda x, y: math.dist(x, y))
-        assert value == 5.0
+    def test_planar_atoms_are_complex(self):
+        mu = DiscreteMeasure.point(0j)
+        nu = DiscreteMeasure.point(3 + 4j)
+        assert wasserstein_inf(mu, nu) == 5.0
 
 
 class TestSpectralMeasure:

@@ -16,14 +16,13 @@ from cstarlab.walk import (
     _first_exit,
     batch_hits_zero,
     batch_sup,
-    check_trajectory,
     classify_walk,
     hit_zero_probability,
     sample_trajectory,
     sup_distribution,
 )
 
-from oracles import capped_sup, walk_states
+from oracles import capped_sup, check_trajectory, walk_states
 
 
 class TestParams:
