@@ -15,8 +15,8 @@ binary-searches the distances above h only when that probe fails:
   aligned along an optimal matching attain the matching distance delta,
   which is exact for Hermitian (Weyl: ascending spectra, no search) and
   unitary (Bhatia-Davis) pairs; for other normal pairs h and
-  delta / 2.91 (Bhatia-Davis-Koosis) bound it below, and multi-start
-  descent runs only when that leaves a gap;
+  delta / 2.91 (Bhatia-Davis-Koosis) bound it below, and descent from
+  permutation and Haar starts runs only when that leaves a gap;
 * `wasserstein_inf` -- the bottleneck transport distance between discrete
   measures with rational weights, exact on atoms of integer mass w * D.
 
@@ -24,7 +24,7 @@ For Hermitian and unitary pairs the first two agree, and the third reduces
 to the first on spectral counting measures; for general normal pairs the
 orbit distance is at most delta and can drop below it (from n = 3 on), so
 only the certified bounds are asserted.  NaN and infinite values are
-refused by every bottleneck entry point.
+refused by every bottleneck entry point and by `NormalMatrix`.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ ATOM_MERGE_TOL = 1e-9
 # Bhatia-Davis-Koosis: delta <= 2.91 ||a - b|| for normal a, b
 BDK_CONSTANT = 2.91
 # descent: starts, iteration cap, stagnant iterations before a start freezes
-N_STARTS = 20
+N_STARTS = 16
 MAX_ITER = 120
 PATIENCE = 6
 
@@ -211,10 +211,10 @@ def sorted_matching_value(a, b) -> float:
 class NormalMatrix:
     """A square complex matrix with a normality certificate.
 
-    Construction measures ||aa* - a*a|| and refuses anything above 1e-10;
-    Hermitian and unitary subtypes are flagged when within 1e-12.  The
-    complex Schur form is computed once, on first use, and both the
-    spectrum and the eigenbasis read it.
+    Construction refuses NaN and infinite entries, measures ||aa* - a*a||
+    and refuses anything above 1e-10; Hermitian and unitary subtypes are
+    flagged when within 1e-12.  The complex Schur form is computed once,
+    on first use, and both the spectrum and the eigenbasis read it.
     """
 
     array: np.ndarray
@@ -223,6 +223,8 @@ class NormalMatrix:
         arr = np.array(self.array, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError("expected a nonempty square matrix")
+        if not np.isfinite(arr).all():
+            raise ValueError("matrix entries must be finite: no NaN or infinite values")
         residual = operator_norm(arr @ arr.conj().T - arr.conj().T @ arr)
         if residual > NORMALITY_TOL:
             raise NotNormalError(f"normality residual {residual:.3e} exceeds {NORMALITY_TOL}")
@@ -288,7 +290,10 @@ def random_normal(n: int, rng: np.random.Generator) -> NormalMatrix:
 @dataclass(frozen=True)
 class UnitaryDistanceResult:
     """Outcome of `unitary_distance`: the value, a unitary attaining it, and
-    the certified lower bound; `certificate_gap` is value - lower_bound."""
+    the certified lower bound; `certificate_gap` is value - lower_bound.
+    Start 0 is the aligned unitary: a pair without descent reports start 0
+    of 1, a descended one 1 + the battery size of starts, and start 1 + k
+    when battery start k of `_starting_unitaries` gave the value."""
 
     value: float
     unitary: np.ndarray
@@ -337,43 +342,25 @@ def _orbit_gradients(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> tuple[np.nd
     return sigma[:, 0], grad
 
 
-def _starting_unitaries(a: NormalMatrix, b: NormalMatrix, seed: int) -> np.ndarray:
-    """Deterministic multi-start battery: identity, permutation matrices,
-    spectral alignments, and Haar-random unitaries to fill the quota."""
-    n = a.n
-    starts: list[np.ndarray] = [np.eye(n, dtype=complex)]
+def _starting_unitaries(n: int, seed: int) -> np.ndarray:
+    """The descent battery: permutation matrices, identity first, then
+    Haar unitaries from `stream(seed, 2)` up to `N_STARTS`.
 
-    perm_list: list[tuple[int, ...]]
+    For n <= 4 the permutations are all n!; above that they are the
+    identity, the reversal and four drawn from `stream(seed, 1)` (a drawn
+    identity is skipped).  Eigenbasis alignments va P vb* are not starts:
+    u b u* then commutes with a, so the gradient skew([b, c d*]) vanishes
+    there and such a start would freeze where it began, at a value no
+    lower than the aligned one the caller already holds."""
     if n <= 4:
-        perm_list = list(itertools.permutations(range(n)))
+        perms = _all_perms(n)
     else:
         rng = stream(seed, 1)
-        perm_list = [tuple(range(n - 1, -1, -1))]
-        perm_list += [tuple(rng.permutation(n)) for _ in range(4)]
-    for perm in perm_list:
-        if perm == tuple(range(n)):
-            continue
-        p = np.zeros((n, n), dtype=complex)
-        p[np.arange(n), list(perm)] = 1.0
-        starts.append(p)
-
-    # alignments of the two eigenbases: exact minimisers live among these
-    # when the pair is simultaneously diagonalisable after conjugation
-    _, va = a.eigenbasis()
-    _, vb = b.eigenbasis()
-    vb_h = vb.conj().T
-    align_perms = perm_list if n <= 4 else [tuple(range(n))] + perm_list[:3]
-    for perm in align_perms:
-        p = np.zeros((n, n), dtype=complex)
-        p[np.arange(n), list(perm)] = 1.0
-        starts.append(va @ p @ vb_h)
-
+        drawn = [np.arange(n - 1, -1, -1)] + [rng.permutation(n) for _ in range(4)]
+        perms = [np.arange(n)] + [p for p in drawn if (p != np.arange(n)).any()]
     rng = stream(seed, 2)
-    while len(starts) < N_STARTS:
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        q, r = np.linalg.qr(g)
-        starts.append(q * (np.diag(r) / np.abs(np.diag(r))))
-    return np.stack(starts)
+    haar = [random_unitary(n, rng).array for _ in range(N_STARTS - len(perms))]
+    return np.stack([*np.eye(n, dtype=complex)[perms], *haar])
 
 
 def unitary_distance(a, b, tol: float = 1e-8, *, seed: int = 0) -> UnitaryDistanceResult:
@@ -393,10 +380,9 @@ def unitary_distance(a, b, tol: float = 1e-8, *, seed: int = 0) -> UnitaryDistan
     certifies that gap <= `tol`.
 
     Only normal pairs whose gap stays open run multi-start descent over the
-    unitary group (`_descend`, with the aligned unitary among its starts;
-    `seed` draws the random ones).  Descent stops once it closes the gap,
-    and its value replaces the aligned one only when lower.  A value below
-    the lower bound beyond rounding raises.
+    unitary group (`_descend`; `seed` draws its random starts).  Descent
+    stops once it closes the gap, and its value replaces the aligned one
+    only when lower.  A value below the lower bound beyond rounding raises.
     """
     na, nb = _as_normal(a), _as_normal(b)
     if na.n != nb.n:
@@ -421,12 +407,10 @@ def unitary_distance(a, b, tol: float = 1e-8, *, seed: int = 0) -> UnitaryDistan
     else:
         lower = max(_hausdorff(dist), delta / BDK_CONSTANT)
         if value - lower > tol:
-            found, best_u, start_index, n_starts, iterations = _descend(
-                na, nb, u, lower + tol, tol, seed)
+            found, best_u, best, battery, iterations = _descend(na, nb, lower + tol, tol, seed)
+            n_starts += battery
             if found < value:
-                value, u = found, best_u
-            else:
-                start_index = n_starts - 1
+                value, u, start_index = found, best_u, 1 + best
     if value < lower - 1e-7:
         raise RuntimeError(f"numerical fault: orbit value {value} fell below its "
                            f"lower bound {lower}")
@@ -440,24 +424,23 @@ def unitary_distance(a, b, tol: float = 1e-8, *, seed: int = 0) -> UnitaryDistan
     )
 
 
-def _descend(na: NormalMatrix, nb: NormalMatrix, aligned: np.ndarray, target: float,
-             tol: float, seed: int) -> tuple[float, np.ndarray, int, int, int]:
-    """Multi-start descent on u -> ||a - u b u*|| from the battery of
-    `_starting_unitaries` plus the `aligned` unitary, which comes last.
+def _descend(na: NormalMatrix, nb: NormalMatrix, target: float, tol: float,
+             seed: int) -> tuple[float, np.ndarray, int, int, int]:
+    """Multi-start descent on u -> ||a - u b u*|| from `_starting_unitaries`.
 
     Each start follows the negative gradient in the skew-Hermitian
-    parametrisation with Armijo backtracking.  The operator norm is only
-    subdifferentiable at singular-value ties, so a start freezes when its
-    gradient norm falls below `tol`, its step collapses, or it makes no
-    progress for `PATIENCE` iterations; starts parked at the value of a
-    stationary one freeze too, and all stop once some value reaches
-    `target`.  Stationarity is no certificate: the caller judges the value
-    by its lower bound alone.
-    Returns (value, unitary, start index, number of starts, iterations) of
-    the lowest value found.
+    parametrisation with Armijo backtracking (at most 45 halvings of the
+    step).  The operator norm is only subdifferentiable at singular-value
+    ties, so a start freezes when its gradient norm falls below `tol` or
+    it makes no progress for `PATIENCE` iterations; all starts stop once
+    some value reaches `target`, or after `MAX_ITER` iterations.
+    Stationarity is no certificate: the caller judges the value by its
+    lower bound alone.
+    Returns (value, unitary, battery index) of the lowest value found, the
+    battery size and the iterations run.
     """
     amat, bmat = na.array, nb.array
-    u = np.concatenate([_starting_unitaries(na, nb, seed), aligned[None]])
+    u = _starting_unitaries(na.n, seed)
     s = u.shape[0]
     # a value of (numerically) zero is a global minimum outright; the
     # svd-based gradient is meaningless on the zero matrix
@@ -490,13 +473,9 @@ def _descend(na: NormalMatrix, nb: NormalMatrix, aligned: np.ndarray, target: fl
             cand = u[active[trying]] @ _batched_expm_skew(-eta[trying, None, None] * g[trying])
             cand_vals = _orbit_values(amat, bmat, cand)
             ok = cand_vals <= cur[trying] - 1e-4 * eta[trying] * gn2[trying]
-            idx_ok = trying[ok]
-            new_u[idx_ok] = cand[ok]
-            accepted[idx_ok] = True
+            new_u[trying[ok]] = cand[ok]
+            accepted[trying[ok]] = True
             eta[trying[~ok]] /= 2.0
-            stalled = trying[~ok][eta[trying[~ok]] < 1e-16]
-            if stalled.size:
-                accepted[stalled] = True  # keep old u; will freeze below
         u[active] = new_u
         step[active] = np.clip(eta * 2.0, 0.0, 4.0)
         vals_a, grads_a = _orbit_gradients(amat, bmat, u[active])
@@ -505,12 +484,7 @@ def _descend(na: NormalMatrix, nb: NormalMatrix, aligned: np.ndarray, target: fl
         values[active] = vals_a
         grads[active] = grads_a
         grad_norms[active] = _norms(grads_a, vals_a)
-        frozen[active] = ((grad_norms[active] < tol) | (step[active] < 1e-14)
-                          | (stagnant[active] >= PATIENCE))
-        stationary = values[frozen & (grad_norms < tol)]
-        if stationary.size:
-            vbest = float(stationary.min())
-            frozen |= np.abs(values - vbest) <= 1e-9 * (1.0 + abs(vbest))
+        frozen[active] = (grad_norms[active] < tol) | (stagnant[active] >= PATIENCE)
 
     best = int(np.argmin(values))
     return float(values[best]), u[best], best, s, iterations

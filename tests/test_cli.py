@@ -17,7 +17,7 @@ from cstarlab.walk import WalkParams, sample_trajectory
 # reports holding a flagged weyl row: a normal pair whose certificate gap
 # stays open, or a tolerance below rounding
 FLAGGED_EXIT = {
-    "550c349715b92d832262cfb7552c0ff97b2369432ad04041ff97be1ef4eb1a21": 3,
+    "34ca8abc597be0be8f3750aaff0884f748eeaece136c37d4015e54f4873b6641": 3,
     "fc0ee5973a09743b41f87cdb653c4f540560d0e7803ac108f52c5bb5692d7de2": 3,
 }
 
@@ -91,9 +91,11 @@ class TestDeterminism:
          "540c1c1a78436c24fff62e6526cd920468687ccc82389f9ebc296fe2a88db9b8"),
         (["walk", "--config", "walk.json", "--p", "0.45"],
          "e8b5c93349e483ae7f43a2aa28689b4cb080570648d5d465ec2f64ac94e5bccc"),
+        # re-pinned when the descent battery dropped its eigenbasis
+        # alignments: five d_u values moved by at most 3.8e-15
         (["weyl", "--n", "4", "--trials", "20", "--ensemble", "normal", "--seed", "3",
           "--format", "csv"],
-         "550c349715b92d832262cfb7552c0ff97b2369432ad04041ff97be1ef4eb1a21"),
+         "34ca8abc597be0be8f3750aaff0884f748eeaece136c37d4015e54f4873b6641"),
         (["weyl", "--n", "3", "--trials", "4", "--seed", "2", "--tol", "1e-30"],
          "fc0ee5973a09743b41f87cdb653c4f540560d0e7803ac108f52c5bb5692d7de2"),
         (["cuntz", "--max-size", "8"],
