@@ -7,10 +7,12 @@ Three layers:
 * `LscStep` -- lower-semicontinuous ExtNat-valued step functions on [0, 1]
   with exact rational breakpoints, modelling the semigroup of the interval
   algebra; addition is pointwise, and the order is pointwise <= (for 0/oo
-  valued functions this is exactly containment of open supports);
+  valued functions this is exactly containment of open supports), so the
+  supremum of an increasing chain is its last member;
 * `CuNccwElement` -- pairs (f, v) subject to the boundary conditions
   f(0) = M0 v and f(1) = M1 v of a one-dimensional NCCW pullback, with the
-  rank-bookkeeping convention oo * 0 = 0 in the matrix products.
+  rank-bookkeeping convention oo * 0 = 0 in the matrix products
+  (`ext_matvec` builds one ExtNat per row).
 
 `k1_trivial` decides triviality of K1 for such a pullback: it is
 equivalent to surjectivity of M0 - M1 over the integers, read off the
@@ -70,16 +72,6 @@ class ExtNat:
 
     __radd__ = __add__
 
-    def times(self, k: int) -> "ExtNat":
-        """k * self for an integer k >= 0, with the convention oo * 0 = 0."""
-        if k < 0:
-            raise ValueError("multiplier must be nonnegative")
-        if k == 0:
-            return ExtNat(0)
-        if self.is_infinite:
-            return EXT_INF
-        return ExtNat(k * self.value)
-
     def __le__(self, other: "ExtNat") -> bool:
         other = as_extnat(other)
         if other.is_infinite:
@@ -109,10 +101,6 @@ def as_extnat(x: Union["ExtNat", int]) -> ExtNat:
     if isinstance(x, ExtNat):
         return x
     return ExtNat(x)
-
-
-def _ext_max(a: ExtNat, b: ExtNat) -> ExtNat:
-    return b if a <= b else a
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +223,11 @@ def _zip_regions(f: LscStep, g: LscStep):
     yield f.right_value, g.right_value
 
 
-def _pointwise(f: LscStep, g: LscStep, op) -> LscStep:
-    cuts = sorted(set(f.breakpoints) | set(g.breakpoints))
-    vals = [op(fv, gv) for fv, gv in _zip_regions(f, g)]
-    return LscStep(tuple(cuts), tuple(vals[1:-1:2]), tuple(vals[2:-1:2]), vals[0], vals[-1])
-
-
 def lsc_add(f: LscStep, g: LscStep) -> LscStep:
     """Pointwise sum over the merged breakpoint set, renormalised."""
-    return _pointwise(f, g, lambda x, y: x + y)
-
-
-def lsc_max(f: LscStep, g: LscStep) -> LscStep:
-    return _pointwise(f, g, _ext_max)
+    cuts = sorted(set(f.breakpoints) | set(g.breakpoints))
+    vals = [fv + gv for fv, gv in _zip_regions(f, g)]
+    return LscStep(tuple(cuts), tuple(vals[1:-1:2]), tuple(vals[2:-1:2]), vals[0], vals[-1])
 
 
 def lsc_leq(f: LscStep, g: LscStep) -> bool:
@@ -256,17 +236,15 @@ def lsc_leq(f: LscStep, g: LscStep) -> bool:
 
 
 def lsc_sup_chain(chain: Sequence[LscStep]) -> LscStep:
-    """Supremum of a finite increasing chain (its pointwise max envelope)."""
+    """Supremum of a finite chain checked nonempty and increasing in
+    `lsc_leq`: its pointwise max envelope, which is its last member."""
     chain = list(chain)
     if not chain:
         raise NotIncreasingError("the chain must be nonempty")
     for a, b in zip(chain, chain[1:]):
         if not lsc_leq(a, b):
             raise NotIncreasingError("the chain is not increasing")
-    out = chain[0]
-    for f in chain[1:]:
-        out = lsc_max(out, f)
-    return out
+    return chain[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +257,19 @@ def _check_nonnegative(m: IntMatrix, name: str) -> None:
 
 
 def ext_matvec(m: IntMatrix, v: Sequence[ExtNat]) -> tuple[ExtNat, ...]:
-    """M v in ExtNat arithmetic with the rank convention oo * 0 = 0."""
+    """M v in ExtNat arithmetic with the rank convention oo * 0 = 0: a row
+    sums k * x over its nonzero multipliers k (all must be nonnegative), and
+    is oo if one of those x is."""
     if m.cols != len(v):
         raise DimensionMismatchError(f"matrix has {m.cols} columns, vector has {len(v)}")
     vec = [as_extnat(x) for x in v]
     out = []
     for row in m.entries:
-        acc = ExtNat(0)
-        for k, x in zip(row, vec):
-            acc = acc + x.times(k)
-        out.append(acc)
+        terms = [(k, x) for k, x in zip(row, vec) if k]
+        if any(k < 0 for k, _ in terms):
+            raise ValueError("multiplier must be nonnegative")
+        out.append(EXT_INF if any(x.is_infinite for _, x in terms)
+                   else ExtNat(sum(k * x.value for k, x in terms)))
     return tuple(out)
 
 
@@ -375,21 +356,20 @@ def dim_function(f: LscStep, measure=LEBESGUE) -> Fraction:
     `measure` is either the LEBESGUE marker or an iterable of
     (position, weight) atoms with exact rational data.  The support of an
     lsc function is open, so for Lebesgue measure only the open gaps with
-    positive value contribute.
+    nonzero value (oo included) contribute.
     """
-    zero = ExtNat(0)
     if isinstance(measure, str):
         if measure != LEBESGUE:
             raise ValueError(f"unknown measure {measure!r}")
         cuts = [Fraction(0), *f.breakpoints, Fraction(1)]
         total = Fraction(0)
         for lo, hi, val in zip(cuts, cuts[1:], f.interval_values):
-            if val > zero:
+            if val.value != 0:
                 total += hi - lo
         return total
     total = Fraction(0)
     for pos, weight in measure:
-        if f.value_at(_as_fraction(pos)) > zero:
+        if f.value_at(pos).value != 0:
             total += _as_fraction(weight)
     return total
 

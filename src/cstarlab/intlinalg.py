@@ -17,9 +17,9 @@ is proved, and the transforms do grow: on 12 Cuntz-Krieger inputs of size
 the diagonal D stayed at 47 bits or less.  Bounding the transforms
 (Storjohann's reduction modulo the finished pivots, or Kannan-Bachem 1979)
 is ROADMAP direction 6.  Only `smith_normal_form` builds the unimodular
-transforms.  `rank`, `cokernel` and `kernel_rank` read the diagonal alone,
-which each `IntMatrix` computes at most once and keeps;
-`smith_normal_form` leaves its own diagonal there too.
+transforms, through the checked `IntMatrix` constructor.  `rank`, `cokernel`
+and `kernel_rank` read the diagonal alone, which each `IntMatrix` computes
+at most once and keeps; `smith_normal_form` stores its own diagonal too.
 """
 
 from __future__ import annotations
@@ -296,9 +296,9 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     # the block's pivots are the ones m alone would take, so this is the
     # diagonal that rank, cokernel and kernel_rank read
     m.__dict__.setdefault("_smith_diagonal", diagonal)
-    return SmithDecomposition(IntMatrix.from_rows((row[c:] for row in a[:r]), cols=r),
-                              IntMatrix.from_rows((row[:c] for row in a[:r]), cols=c),
-                              IntMatrix.from_rows((row[:c] for row in a[r:]), cols=c))
+    return SmithDecomposition(IntMatrix(r, r, tuple(tuple(row[c:]) for row in a[:r])),
+                              IntMatrix(r, c, tuple(tuple(row[:c]) for row in a[:r])),
+                              IntMatrix(c, c, tuple(tuple(row[:c]) for row in a[r:])))
 
 
 def rank(m: IntMatrix) -> int:

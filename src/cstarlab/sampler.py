@@ -32,6 +32,7 @@ from .walk import (
     InvalidParamsError,
     UnsupportedBarrierError,
     WalkParams,
+    _count,
     batch_hits_zero,
     sample_trajectory,
 )
@@ -192,8 +193,7 @@ def sample_algebra(params: WalkParams, scheme: MeasureScheme, horizon: int,
     (seed, 0) exactly as `sample_trajectory`; tower collapses draw from a
     sub-seed derived by mix64(seed, 1).
     """
-    if not isinstance(horizon, int) or horizon < 1:
-        raise InvalidParamsError(f"horizon must be an integer >= 1, got {horizon!r}")
+    horizon = _count("horizon", horizon, 1)
     traj = sample_trajectory(params, horizon + 1, seed)
     states = traj.states
     diagnostics = SampleDiagnostics(horizon=horizon, zero_visits=traj.zero_visits(),
@@ -255,10 +255,7 @@ def estimate_prob_jiang_su(params: WalkParams, trials: int, horizon: int,
     (seed, t), so the estimate is reproducible and monotone nondecreasing
     in the horizon for a fixed seed.
     """
-    if not isinstance(trials, int) or trials < 1:
-        raise InvalidParamsError(f"trials must be an integer >= 1, got {trials!r}")
-    if not isinstance(horizon, int) or horizon < 1:
-        raise InvalidParamsError(f"horizon must be an integer >= 1, got {horizon!r}")
+    trials, horizon = _count("trials", trials, 1), _count("horizon", horizon, 1)
     hits = batch_hits_zero(params, horizon, trials, seed)
     successes = int(hits.sum())
     lo, hi = wilson_interval(successes, trials)

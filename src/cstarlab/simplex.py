@@ -246,25 +246,23 @@ class SimplexTower:
     def to_json(self) -> str:
         """The bytes of json.dumps(doc, sort_keys=True) for the documented doc.
 
-        Coordinates are written with float repr, as the json encoder does.
-        When most coordinates repeat their left neighbour bit for bit (the
-        barycentre rows, the zeros of vertex rows), each run of equal
-        coordinates is repr'd once and repeated; otherwise the json encoder
-        writes the whole document.
+        One string writer builds the document.  Coordinates are written with
+        float repr, as the json encoder does (they are finite: the
+        constructor checks them).  When most coordinates repeat their left
+        neighbour bit for bit (the barycentre rows, the zeros of vertex
+        rows), each run of equal coordinates is repr'd once and repeated;
+        otherwise each coordinate is repr'd.
         """
         bits = self.coords.view(np.int64)
         repeats = bits[1:] == bits[:-1]
         off = self.offsets.tolist()
         scheme = self.scheme.value if self.scheme else None
         if 2 * np.count_nonzero(repeats) <= bits.size:
-            values = self.coords.tolist()
-            maps = [{"kind": "collapse", "vector": values[a:b]} if b > a
-                    else {"kind": "inclusion"} for a, b in zip(off, off[1:])]
-            return json.dumps({"dims": self.dims, "maps": maps, "scheme": scheme,
-                               "seed": self.seed}, sort_keys=True)
-        fresh = np.concatenate(([True], ~repeats))
-        heads = np.array(list(map(repr, self.coords[fresh].tolist())), dtype=object)
-        texts = heads[np.cumsum(fresh) - 1].tolist()
+            texts = list(map(repr, self.coords.tolist()))
+        else:
+            fresh = np.concatenate(([True], ~repeats))
+            heads = np.array(list(map(repr, self.coords[fresh].tolist())), dtype=object)
+            texts = heads[np.cumsum(fresh) - 1].tolist()
         rows = ", ".join('{"kind": "collapse", "vector": [' + ", ".join(texts[a:b]) + "]}"
                          if b > a else '{"kind": "inclusion"}' for a, b in zip(off, off[1:]))
         return "".join(['{"dims": ', json.dumps(self.dims), ', "maps": [', rows,

@@ -45,6 +45,15 @@ class UnsupportedBarrierError(ValueError):
     """The requested operation is not defined for this barrier mode."""
 
 
+def _count(name: str, value, least: int) -> int:
+    """`value` as an int >= `least`: what operator.index accepts, bools aside."""
+    if not isinstance(value, bool) and hasattr(type(value), "__index__"):
+        value = operator.index(value)
+        if value >= least:
+            return value
+    raise InvalidParamsError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 class Barrier(enum.Enum):
     REFLECTING = "reflecting"
     ABSORBING = "absorbing"
@@ -150,8 +159,7 @@ def sample_trajectory(params: WalkParams, length: int, seed: int, *,
     start): the reflecting walk is S + 2 ceil(R / 2), with R the running
     maximum of max(-S, 0), and the absorbing walk is S frozen at its first 0.
     """
-    if not isinstance(length, int) or length < 1:
-        raise InvalidParamsError(f"length must be an integer >= 1, got {length!r}")
+    length = _count("length", length, 1)
     uniforms = stream(seed, trial).random(length)
     steps = np.where(uniforms < params.p, 1, -1)
     steps[0] = _initial_states(params, uniforms[:1])[0]
@@ -221,8 +229,7 @@ def batch_hits_zero(params: WalkParams, horizon: int, trials: int, seed: int) ->
     independent of any batching or parallel schedule.  Before its first
     visit to 0 the walk is free, so each trial steps only until that visit.
     """
-    if horizon < 1 or trials < 1:
-        raise InvalidParamsError("horizon and trials must be >= 1")
+    horizon, trials = _count("horizon", horizon, 1), _count("trials", trials, 1)
     gens, pos = _open_trials(params, trials, seed)
     budget = np.full(trials, horizon, dtype=np.int64)
     if params.barrier is Barrier.REFLECTING:
@@ -247,8 +254,8 @@ def batch_sup(params: WalkParams, trials: int, seed: int, *, cap: int,
     """
     if params.barrier is not Barrier.ABSORBING:
         raise UnsupportedBarrierError("sup sampling is an absorbing-mode diagnostic")
-    if cap < 0 or trials < 1:
-        raise InvalidParamsError("cap must be >= 0 and trials >= 1")
+    trials, cap = _count("trials", trials, 1), _count("cap", cap, 0)
+    max_steps = _count("max_steps", max_steps, 1)
     gens, start = _open_trials(params, trials, seed)
     budget = np.full(trials, max_steps - 1, dtype=np.int64)
     pos, top = _first_exit(gens, start, start, budget, params.p, cap)
@@ -269,8 +276,7 @@ def hit_zero_probability(params: WalkParams, start: int) -> float:
     recurrent), and (q/p)**start for p > q, the limit of the hitting
     probabilities of the walk killed at K as K grows.
     """
-    if start < 0:
-        raise InvalidParamsError("start state must be nonnegative")
+    start = _count("start", start, 0)
     if start == 0 or params.p <= params.q:
         return 1.0
     return (params.q / params.p) ** start
@@ -286,8 +292,7 @@ def sup_distribution(params: WalkParams, k: int) -> Fraction:
     """
     if params.barrier is not Barrier.ABSORBING:
         raise UnsupportedBarrierError("sup of a reflecting walk is a different quantity")
-    if k < 0:
-        raise InvalidParamsError("level k must be nonnegative")
+    k = _count("k", k, 0)
     p, q = Fraction(params.p), Fraction(params.q)
 
     # g_j = P(absorbed at 0 before k+1 | start j) via a forward sweep

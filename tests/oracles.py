@@ -2,10 +2,10 @@
 
 Everything here deliberately avoids the code paths under test: surjectivity
 is decided by enumerating lattice points or maximal minors rather than
-Smith forms, determinants come from Bareiss elimination, step functions
-are compared on explicit rational grids, walks are stepped one state
-per uniform, and towers are built one `TowerMap` per step and pushed down
-one stacked batch per level.
+Smith forms, determinants come from Bareiss elimination, rank products are
+summed one entry at a time, step functions are compared on explicit
+rational grids, walks are stepped one state per uniform, and towers are
+built one `TowerMap` per step and pushed down one stacked batch per level.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from math import gcd
 
 import numpy as np
 
+from cstarlab.cuntz import EXT_INF, ExtNat
 from cstarlab.intlinalg import IntMatrix, det_bareiss
 from cstarlab.rng import stream
 from cstarlab.simplex import MeasureScheme, TowerMap
@@ -74,6 +75,21 @@ def random_unimodular(rng: np.random.Generator, n: int, steps: int = 12) -> IntM
     if rng.random() < 0.5 and n >= 2:
         a[0], a[1] = a[1], a[0]
     return IntMatrix.from_rows(a, cols=n)
+
+
+def ext_matvec_per_entry(m: IntMatrix, v) -> tuple[ExtNat, ...]:
+    """M v summed one entry at a time: k * x is 0 for k = 0 (oo * 0 = 0),
+    oo for an infinite x and k * x otherwise; a negative k raises."""
+    out = []
+    for row in m.entries:
+        acc = ExtNat(0)
+        for k, x in zip(row, v):
+            if k < 0:
+                raise ValueError("multiplier must be nonnegative")
+            acc = acc + (ExtNat(0) if k == 0 else EXT_INF if x.is_infinite
+                         else ExtNat(k * x.value))
+        out.append(acc)
+    return tuple(out)
 
 
 def fraction_grid(k: int) -> list[Fraction]:

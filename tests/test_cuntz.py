@@ -29,7 +29,12 @@ from cstarlab.cuntz import (
 from cstarlab.intlinalg import IntMatrix
 from cstarlab.rng import stream
 
-from oracles import fraction_grid, surjective_box_search, surjective_minors_gcd
+from oracles import (
+    ext_matvec_per_entry,
+    fraction_grid,
+    surjective_box_search,
+    surjective_minors_gcd,
+)
 
 GRID = fraction_grid(1000)
 
@@ -50,9 +55,12 @@ class TestExtNat:
         assert ExtNat(4) + EXT_INF == EXT_INF
 
     def test_rank_multiplication_convention(self):
-        assert EXT_INF.times(0) == ExtNat(0)
-        assert EXT_INF.times(3) == EXT_INF
-        assert ExtNat(5).times(4) == ExtNat(20)
+        # oo * 0 = 0, oo * 3 = oo and 4 * 5 = 20, as one-entry products M v
+        assert ext_matvec(IntMatrix.from_rows([[0]]), (EXT_INF,)) == (ExtNat(0),)
+        assert ext_matvec(IntMatrix.from_rows([[3]]), (EXT_INF,)) == (EXT_INF,)
+        assert ext_matvec(IntMatrix.from_rows([[4]]), (ExtNat(5),)) == (ExtNat(20),)
+        with pytest.raises(ValueError, match="^multiplier must be nonnegative$"):
+            ext_matvec(IntMatrix.from_rows([[-1]]), (ExtNat(5),))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -206,6 +214,19 @@ class TestSupChain:
         with pytest.raises(NotIncreasingError):
             lsc_sup_chain([])
 
+    @settings(max_examples=40, deadline=None)
+    @given(lsc_steps(), st.lists(lsc_steps(), max_size=3))
+    def test_sup_is_last_member_and_max_envelope(self, f, steps):
+        # f, f + g1, f + g1 + g2, ... is increasing in the pointwise order
+        chain = [f]
+        for g in steps:
+            chain.append(lsc_add(chain[-1], g))
+        sup = lsc_sup_chain(chain)
+        assert sup == chain[-1]
+        points = GRID + [b for h in chain for b in h.breakpoints]
+        assert [sup.value_at(x) for x in points] == \
+            [max(h.value_at(x) for h in chain) for x in points]
+
 
 class TestNccw:
     def test_unit_element_of_prime_pair(self):
@@ -226,6 +247,26 @@ class TestNccw:
     def test_infinity_times_zero_column(self):
         m = IntMatrix.from_rows([[0, 2]])
         assert ext_matvec(m, (EXT_INF, ExtNat(3))) == (ExtNat(6),)
+
+    def test_ext_matvec_matches_per_entry_oracle(self):
+        # 1-4 x 1-4 matrices with entries in 0..5 (-1..5 every 50th case),
+        # about a fifth of the vector entries oo
+        rng = stream(18, 0)
+        errors = 0
+        for case in range(2000):
+            rows, cols = (int(x) for x in rng.integers(1, 5, 2))
+            m = IntMatrix.from_rows(rng.integers(-1 if case % 50 == 0 else 0, 6, (rows, cols)))
+            v = [EXT_INF if rng.random() < 0.2 else ExtNat(int(rng.integers(0, 7)))
+                 for _ in range(cols)]
+            try:
+                expected = ext_matvec_per_entry(m, v)
+            except ValueError as exc:
+                errors += 1
+                with pytest.raises(ValueError, match=f"^{exc}$"):
+                    ext_matvec(m, v)
+                continue
+            assert ext_matvec(m, v) == expected
+        assert errors > 0
 
     def test_addition_preserves_validity(self):
         e = dimension_drop_unit(3, 4)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from cstarlab.rng import stream
+from cstarlab.sampler import estimate_prob_jiang_su, sample_algebra
+from cstarlab.simplex import MeasureScheme
 from cstarlab.walk import (
     Barrier,
     InvalidParamsError,
@@ -241,3 +243,31 @@ def test_trajectory_validation():
         check_trajectory(Trajectory((0, 2)), Barrier.ABSORBING)
     with pytest.raises(InvalidParamsError):
         check_trajectory(Trajectory((1, 3)), Barrier.REFLECTING)
+
+
+_REFLECTING = WalkParams.point(0.6)
+_ABSORBING = WalkParams.point(0.45, barrier=Barrier.ABSORBING, start=2)
+
+
+@pytest.mark.parametrize("name, least, call", [
+    ("length", 1, lambda n: sample_trajectory(_REFLECTING, n, 1)),
+    ("horizon", 1, lambda n: batch_hits_zero(_REFLECTING, n, 10, 0)),
+    ("trials", 1, lambda n: batch_hits_zero(_REFLECTING, 10, n, 0)),
+    ("trials", 1, lambda n: batch_sup(_ABSORBING, n, 0, cap=3)),
+    ("cap", 0, lambda n: batch_sup(_ABSORBING, 10, 0, cap=n)),
+    ("max_steps", 1, lambda n: batch_sup(_ABSORBING, 10, 0, cap=3, max_steps=n)),
+    ("start", 0, lambda n: hit_zero_probability(_REFLECTING, n)),
+    ("k", 0, lambda n: sup_distribution(_ABSORBING, n)),
+    ("horizon", 1, lambda n: sample_algebra(_REFLECTING, MeasureScheme.UNIFORM_VERTICES, n, 1)),
+    ("trials", 1, lambda n: estimate_prob_jiang_su(_REFLECTING, n, 10, 0)),
+    ("horizon", 1, lambda n: estimate_prob_jiang_su(_REFLECTING, 10, n, 0)),
+], ids=["sample_trajectory", "batch_hits_zero-horizon", "batch_hits_zero-trials",
+        "batch_sup-trials", "batch_sup-cap", "batch_sup-max_steps", "hit_zero_probability",
+        "sup_distribution", "sample_algebra", "estimate_prob_jiang_su-trials",
+        "estimate_prob_jiang_su-horizon"])
+def test_counts_are_integers_at_their_bound(name, least, call):
+    for bad in (least - 1, least + 1.5, float(least + 2), True, "3", None):
+        with pytest.raises(InvalidParamsError, match=f"^{name} must be an integer >= {least}, got"):
+            call(bad)
+    # numpy integers are integers, and what they give is what the int gives
+    assert repr(call(np.int64(least + 2))) == repr(call(least + 2))
