@@ -219,8 +219,9 @@ def sample_algebra(params: WalkParams, scheme: MeasureScheme, horizon: int,
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95 % Wilson score interval; stable at proportions near 0 and 1, and
     exactly 0 (resp. 1) at the end reached by 0 (resp. `trials`) successes."""
-    if trials < 1:
-        raise InvalidParamsError("trials must be >= 1")
+    trials, successes = _count("trials", trials, 1), _count("successes", successes, 0)
+    if successes > trials:
+        raise InvalidParamsError(f"successes must be <= trials, got {successes} > {trials}")
     z = _WILSON_Z95
     phat = successes / trials
     denom = 1.0 + z * z / trials

@@ -54,6 +54,13 @@ def _count(name: str, value, least: int) -> int:
     raise InvalidParamsError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _state(value) -> int:
+    """A walk state as an int: what operator.index accepts, bools aside."""
+    if isinstance(value, bool):
+        raise TypeError(f"states must be integers, got {value!r}")
+    return operator.index(value)
+
+
 class Barrier(enum.Enum):
     REFLECTING = "reflecting"
     ABSORBING = "absorbing"
@@ -90,7 +97,7 @@ class WalkParams:
         if not isinstance(self.barrier, Barrier):
             raise InvalidParamsError(f"barrier must be a Barrier, got {self.barrier!r}")
         items = self.initial.items() if isinstance(self.initial, Mapping) else self.initial
-        pairs = tuple(sorted((operator.index(s), float(w)) for s, w in items))
+        pairs = tuple(sorted((_state(s), float(w)) for s, w in items))
         if not pairs:
             raise InvalidParamsError("initial distribution must have nonempty support")
         for state, weight in pairs:

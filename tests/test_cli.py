@@ -547,3 +547,14 @@ def test_cli_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_numpy_random():
+    # numpy.random is loaded at the first stream, so starting the CLI does not pay for it
+    src = os.path.dirname(os.path.dirname(cstarlab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, cstarlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random']))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "[]"

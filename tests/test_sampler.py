@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from cstarlab import sampler
@@ -225,6 +226,15 @@ class TestWilson:
     def test_contains_proportion(self):
         lo, hi = wilson_interval(30, 100)
         assert lo < 0.3 < hi
+
+    def test_integer_counts_accepted(self):
+        assert wilson_interval(np.int64(30), np.int64(100)) == wilson_interval(30, 100)
+
+    @pytest.mark.parametrize("successes, trials", [
+        (1, 2.5), (1.0, 2), (True, 2), (0, True), (0, 0), (-1, 4), (3, 2)])
+    def test_bad_counts_refused(self, successes, trials):
+        with pytest.raises(InvalidParamsError):
+            wilson_interval(successes, trials)
 
 
 class TestClassifyKContractible:

@@ -58,6 +58,11 @@ class TestParams:
         with pytest.raises(TypeError):
             WalkParams(p=0.5, initial=initial)
 
+    @pytest.mark.parametrize("initial", [{True: 1.0}, [(False, 1.0)], {True: 0.5, 0: 0.5}])
+    def test_initial_bool_state_refused(self, initial):
+        with pytest.raises(TypeError, match="states must be integers"):
+            WalkParams(p=0.5, initial=initial)
+
     @pytest.mark.parametrize("initial", [[(0, math.nan), (3, 1.0)], {0: math.nan, 3: 1.0}])
     def test_initial_nan_weight_refused(self, initial):
         with pytest.raises(InvalidParamsError, match="nonnegative, got nan"):
