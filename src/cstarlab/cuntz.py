@@ -205,34 +205,41 @@ class LscStep:
         return self.interval_values[i]
 
 
-def _zip_regions(f: LscStep, g: LscStep):
-    """Yield (f_value, g_value) over the common refinement of [0, 1]: the
-    point 0, then each open gap followed by the breakpoint closing it (any
-    breakpoint of either function), then the last gap and the point 1.
-    Midpoint evaluation is exact because gaps contain no breakpoints.
+def _zip_regions(f: LscStep, g: LscStep) -> tuple[list[Fraction], list[tuple[ExtNat, ExtNat]]]:
+    """The merged breakpoints of f and g, and their (f_value, g_value) pairs
+    over the common refinement of [0, 1]: the point 0, then each open gap
+    followed by the breakpoint closing it, then the last gap and the point
+    1.  One merge walk over the two breakpoint lists reads every value by
+    index: between breakpoints each function keeps its interval value.
     """
-    cuts = sorted(set(f.breakpoints) | set(g.breakpoints))
-    yield f.left_value, g.left_value
-    prev = Fraction(0)
-    for c in cuts + [Fraction(1)]:
-        mid = (prev + c) / 2
-        yield f.value_at(mid), g.value_at(mid)
-        if c != 1:
-            yield f.value_at(c), g.value_at(c)
-        prev = c
-    yield f.right_value, g.right_value
+    fb, gb = f.breakpoints, g.breakpoints
+    cuts, pairs = [], [(f.left_value, g.left_value)]
+    i = j = 0
+    while i < len(fb) or j < len(gb):
+        cut = min(fb[i] if i < len(fb) else 1, gb[j] if j < len(gb) else 1)
+        pairs.append((f.interval_values[i], g.interval_values[j]))
+        at_f = i < len(fb) and fb[i] == cut
+        at_g = j < len(gb) and gb[j] == cut
+        pairs.append((f.breakpoint_values[i] if at_f else f.interval_values[i],
+                      g.breakpoint_values[j] if at_g else g.interval_values[j]))
+        cuts.append(cut)
+        i += at_f
+        j += at_g
+    pairs.append((f.interval_values[i], g.interval_values[j]))
+    pairs.append((f.right_value, g.right_value))
+    return cuts, pairs
 
 
 def lsc_add(f: LscStep, g: LscStep) -> LscStep:
     """Pointwise sum over the merged breakpoint set, renormalised."""
-    cuts = sorted(set(f.breakpoints) | set(g.breakpoints))
-    vals = [fv + gv for fv, gv in _zip_regions(f, g)]
+    cuts, pairs = _zip_regions(f, g)
+    vals = [fv + gv for fv, gv in pairs]
     return LscStep(tuple(cuts), tuple(vals[1:-1:2]), tuple(vals[2:-1:2]), vals[0], vals[-1])
 
 
 def lsc_leq(f: LscStep, g: LscStep) -> bool:
     """Pointwise order: f <= g at every interval, breakpoint and endpoint."""
-    return all(fv <= gv for fv, gv in _zip_regions(f, g))
+    return all(fv <= gv for fv, gv in _zip_regions(f, g)[1])
 
 
 def lsc_sup_chain(chain: Sequence[LscStep]) -> LscStep:

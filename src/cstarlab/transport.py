@@ -1,22 +1,25 @@
 """Spectral distances: optimal matching, unitary orbits, infinity-Wasserstein.
 
-Three routes to the same circle of quantities, on one threshold search
-whose probes are Dinic flows of integer supplies to integer demands.  The
-search probes the Hausdorff distance h of the two sides first, a lower
-bound that is itself a candidate threshold (Gabow-Tarjan), and
-binary-searches the distances above h only when that probe fails:
+Three routes to the same circle of quantities, on one bottleneck routine,
+`_bottleneck`, over integer supplies and demands.  It starts at the
+Hausdorff distance h of the two sides, a lower bound that is itself an
+entry of the distance matrix, ships what it can within h and raises its
+threshold only along minimax augmenting paths (Gabow-Tarjan), so no
+threshold is ever probed and the value is an entry of the matrix:
 
 * `matching_distance` -- the bottleneck matching value between two
   eigenvalue multisets, all supplies one; real multisets take the sorted
-  closed form (Weyl) with no search (`bottleneck_brute_force` is the
+  closed form (Weyl) with no matching (`bottleneck_brute_force` is the
   small-n oracle kept for verification);
 * `unitary_distance` -- the orbit distance inf_u ||a - u b u*|| between
   certified bounds, with a unitary attaining the upper one: eigenbases
-  aligned along an optimal matching attain the matching distance delta,
-  which is exact for Hermitian (Weyl: ascending spectra, no search) and
-  unitary (Bhatia-Davis) pairs; for other normal pairs h and
-  delta / 2.91 (Bhatia-Davis-Koosis) bound it below, and descent from
-  permutation and Haar starts runs only when that leaves a gap;
+  aligned along an optimal matching (one Dinic matching at delta) attain
+  the matching distance delta, which is exact for Hermitian (Weyl:
+  ascending spectra, no matching) and unitary (Bhatia-Davis) pairs; for
+  other normal pairs h and delta / 2.91 (Bhatia-Davis-Koosis) bound it
+  below, then, if that leaves a gap, Weyl's perturbation theorem on the
+  singular values of a - z over a fixed set of shifts z, and descent from
+  permutation and Haar starts runs only when both leave a gap;
 * `wasserstein_inf` -- the bottleneck transport distance between discrete
   measures with rational weights, exact on atoms of integer mass w * D.
 
@@ -83,13 +86,13 @@ def operator_norm(m: np.ndarray) -> float:
 # bottleneck matching
 # ---------------------------------------------------------------------------
 
-def _flow(adj: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> np.ndarray | None:
-    """A k x l integer flow on the edges of a boolean adjacency that ships
-    every row's supply to the columns' demands, or None.
+def _flow(adj: np.ndarray) -> np.ndarray:
+    """The column matched to each row by a perfect matching of a square
+    boolean adjacency that has one.
 
-    Dinic's maximum flow (source -> rows -> columns -> sink), a perfect
-    matching when all supplies and demands are one (scipy's
-    `maximum_bipartite_matching` took 57 s on a 1271-atom threshold graph)."""
+    Dinic's maximum flow with unit capacities (source -> rows -> columns ->
+    sink), which is deterministic in the adjacency, so one threshold graph
+    always gives one matching."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_flow
 
@@ -98,46 +101,129 @@ def _flow(adj: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> np.ndarray
     rows, cols = np.nonzero(adj)
     tail = np.concatenate([np.zeros(k, dtype=np.intp), rows + 1, np.arange(k + 1, sink)])
     head = np.concatenate([np.arange(1, k + 1), cols + k + 1, np.full(l, sink)])
-    capacity = np.concatenate([supply, np.minimum(supply[rows], demand[cols]), demand])
-    network = csr_matrix((capacity.astype(np.int32), (tail, head)), shape=(sink + 1, sink + 1))
+    network = csr_matrix((np.ones(tail.size, dtype=np.int32), (tail, head)),
+                         shape=(sink + 1, sink + 1))
     result = maximum_flow(network, 0, sink, method="dinic")
-    if result.flow_value < supply.sum():
-        return None
-    return result.flow[1:k + 1, k + 1:sink].toarray()
+    return result.flow[1:k + 1, k + 1:sink].toarray().argmax(axis=1)
 
 
 def _hausdorff(dist: np.ndarray) -> float:
     """Hausdorff distance of two finite sets from their distance matrix:
-    the largest row or column minimum."""
+    the largest row or column minimum.  It bounds the bottleneck value
+    below, and for spectra of a normal pair it bounds the orbit distance
+    below too; `_shifted_spectra_bound` contains it, at its shifts z on
+    the eigenvalues."""
     return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
 
 
-def _bottleneck_from_matrix(dist: np.ndarray, supply: np.ndarray,
-                            demand: np.ndarray) -> tuple[float, np.ndarray]:
-    """Smallest r such that {(i, j): dist_ij <= r} carries a flow of the
-    supplies to the demands, with one such flow.
+def _minimax_labels(dist: np.ndarray, flow: np.ndarray, out: np.ndarray,
+                    inn: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column labels max(t, smallest largest edge of a residual path from a
+    row with supply left), with the predecessors of the paths that attain
+    them: the row before each column and the column before each row (-1 at
+    a path's first row).
+
+    Rows reach columns along any edge and columns reach rows back along
+    edges that carry flow.  Labels start at t, so paths inside the graph
+    {dist <= t} all read t and are found in Bellman-Ford rounds by number
+    of edges, shortest first; the rounds stop as soon as a column with
+    demand left reads t.  Predecessors change only on a strict decrease,
+    so they form a forest rooted at the rows with supply left."""
+    k, l = dist.shape
+    row = np.where(out > 0, t, inf)
+    col = np.full(l, inf)
+    row_pred = np.full(k, -1)
+    col_pred = np.full(l, -1)
+    free = inn > 0
+    flow_rows, flow_cols = np.divmod(np.flatnonzero(flow > 0), l)
+    changed = np.flatnonzero(out > 0)
+    while changed.size:
+        open_cols = np.flatnonzero(col > t)
+        cand = np.maximum(row[changed, None], dist[changed][:, open_cols])
+        best = cand.argmin(axis=0)
+        value = cand[best, np.arange(open_cols.size)]
+        better = value < col[open_cols]
+        cols = open_cols[better]
+        if not cols.size:
+            break
+        col[cols] = value[better]
+        col_pred[cols] = changed[best[better]]
+        if (col[free] <= t).any():
+            break
+        # each row's lowest-labelled column among those its flow enters
+        order = np.lexsort((col[flow_cols], flow_rows))
+        rows, via = flow_rows[order], flow_cols[order]
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        rows, via = rows[first], via[first]
+        down = col[via] < row[rows]
+        changed = rows[down]
+        row[changed] = col[via[down]]
+        row_pred[changed] = via[down]
+    return col, col_pred, row_pred
+
+
+def _bottleneck(dist: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> float:
+    """Smallest entry r of the k x l matrix `dist` such that
+    {(i, j): dist_ij <= r} carries a flow of the integer supplies of the
+    rows to the demands of the columns (equal totals), by minimax
+    augmenting paths (Gabow-Tarjan 1988).
 
     Every row and column needs an edge, so r is at least the Hausdorff
-    distance h, itself an entry of `dist`: h is probed first (Gabow-Tarjan),
-    and only when it fails does a binary search run over the entries above
-    it.  The flow returned is always the one built at r itself."""
-    values = np.unique(dist)
-    lo = int(np.searchsorted(values, _hausdorff(dist)))
-    best = _flow(dist <= values[lo], supply, demand)
-    if best is not None:
-        return float(values[lo]), best
-    # values[-1] admits every pair: never probed, its flow is built last
-    hi = len(values) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        flow = _flow(dist <= values[mid], supply, demand)
-        if flow is None:
-            lo = mid
-        else:
-            hi, best = mid, flow
-    if best is None:
-        best = _flow(dist <= values[hi], supply, demand)
-    return float(values[hi]), best
+    distance h, and the threshold t starts there.  First, in rounds, each
+    row with supply left proposes to its nearest column with demand left
+    within t, and each column takes its first proposer.  Then each search
+    labels the residual paths by their largest edge (`_minimax_labels`).
+    If no column with demand left is reachable within t, t rises to the
+    smallest such label m: the flow is then maximum in {dist < m} and
+    incomplete, so r >= m.  Every node-disjoint path to a column with label
+    at most t is augmented by its residual capacity: the least of the
+    supply left at its first row, the demand left at its last column and
+    the flow on its backward edges.  At the end the flow fits within t, so
+    t is r, an entry of `dist`, bitwise the value of a threshold search.
+
+    Each augmentation ships at least one unit, so a matching (all supplies
+    and demands one) takes at most n.  Paths found at one threshold are
+    shortest in edges, so as in Edmonds-Karp there are O((k + l) k l)
+    augmentations at each threshold value, whatever the masses.
+    """
+    flow = np.zeros(dist.shape, dtype=np.int64)
+    out, inn = supply.astype(np.int64), demand.astype(np.int64)
+    t = _hausdorff(dist)
+    while out.any():
+        rows, cols = np.flatnonzero(out > 0), np.flatnonzero(inn > 0)
+        near = dist[rows][:, cols]
+        pick = near.argmin(axis=1)
+        within = near[np.arange(rows.size), pick] <= t
+        if not within.any():
+            break
+        cols, first = np.unique(cols[pick[within]], return_index=True)
+        rows = rows[within][first]
+        units = np.minimum(out[rows], inn[cols])
+        flow[rows, cols] += units
+        out[rows] -= units
+        inn[cols] -= units
+    while out.any():
+        col, col_pred, row_pred = _minimax_labels(dist, flow, out, inn, t)
+        free = np.flatnonzero(inn > 0)
+        t = max(t, float(col[free].min()))
+        used_rows, used_cols = set(), set()
+        for sink in free[col[free] <= t].tolist():
+            # rows[i] -> cols[i] forward, cols[i + 1] -> rows[i] backward
+            rows, cols = [int(col_pred[sink])], [sink]
+            while row_pred[rows[-1]] >= 0:
+                cols.append(int(row_pred[rows[-1]]))
+                rows.append(int(col_pred[cols[-1]]))
+            if used_rows.intersection(rows) or used_cols.intersection(cols):
+                continue
+            used_rows.update(rows)
+            used_cols.update(cols)
+            units = min(out[rows[-1]], inn[sink], *flow[rows[:-1], cols[1:]].tolist())
+            flow[rows, cols] += units
+            flow[rows[:-1], cols[1:]] -= units
+            out[rows[-1]] -= units
+            inn[sink] -= units
+    return t
 
 
 def _distance_matrix(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
@@ -167,15 +253,14 @@ def matching_distance(a, b) -> float:
 
     Exact in the sense that the answer is always one of the pairwise
     distances |a_i - b_j|.  Real multisets (no nonzero imaginary part) take
-    the sorted closed form; complex ones the threshold search of
-    `_bottleneck_from_matrix`, which probes the Hausdorff distance first and
-    binary-searches the distances above it only if that probe fails.
+    the sorted closed form; complex ones the minimax augmenting paths of
+    `_bottleneck`, from a maximum matching at the Hausdorff distance.
     """
     av, bv = _value_pair(a, b)
     if not (av.imag.any() or bv.imag.any()):
         return _sorted_value(av, bv)
     ones = np.ones(av.size, dtype=np.intp)
-    return _bottleneck_from_matrix(_distance_matrix(av, bv), ones, ones)[0]
+    return _bottleneck(_distance_matrix(av, bv), ones, ones)
 
 
 @lru_cache(maxsize=None)
@@ -290,8 +375,10 @@ def random_normal(n: int, rng: np.random.Generator) -> NormalMatrix:
 @dataclass(frozen=True)
 class UnitaryDistanceResult:
     """Outcome of `unitary_distance`: the value, a unitary attaining it, and
-    the certified lower bound; `certificate_gap` is value - lower_bound.
-    Start 0 is the aligned unitary: a pair without descent reports start 0
+    the certified lower bound (delta for Hermitian and unitary pairs; for
+    other normal pairs the larger of h and delta / 2.91, or, when that
+    leaves the gap open, of the shifted-spectra bound and delta / 2.91);
+    `certificate_gap` is value - lower_bound.  Start 0 is the aligned unitary: a pair without descent reports start 0
     of 1, a descended one 1 + the battery size of starts, and start 1 + k
     when battery start k of `_starting_unitaries` gave the value."""
 
@@ -363,26 +450,73 @@ def _starting_unitaries(n: int, seed: int) -> np.ndarray:
     return np.stack([*np.eye(n, dtype=complex)[perms], *haar])
 
 
+def _shift_gaps(la: np.ndarray, lb: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """max_i | sort|la - z|_i - sort|lb - z|_i | at each shift z."""
+    moduli_a = np.sort(np.abs(la[None, :] - z[:, None]), axis=1)
+    moduli_b = np.sort(np.abs(lb[None, :] - z[:, None]), axis=1)
+    return np.abs(moduli_a - moduli_b).max(axis=1)
+
+
+def _shifted_spectra_bound(la: np.ndarray, lb: np.ndarray) -> float:
+    """A lower bound on inf_u ||a - u b u*|| for normal a, b with spectra
+    la, lb: the largest `_shift_gaps` over a fixed set of shifts z.
+
+    ||a - u b u*|| = ||(a - z) - u (b - z) u*||, the singular values of a
+    normal a - z are the moduli |la - z|, and Weyl's perturbation theorem
+    bounds each difference of sorted singular values by the norm (Bhatia,
+    *Matrix Analysis*, ch. III).  The shifts are both spectra, their
+    pairwise midpoints and a 31 x 31 grid over [-3R, 3R]^2 (R the largest
+    eigenvalue modulus), then four 11 x 11 grids centred on the best shift
+    so far: the first spans one step of the coarse grid either way, and
+    each later one is ten times finer.  At z on an eigenvalue the
+    smallest moduli are 0 and that eigenvalue's distance to the other
+    spectrum, so the bound contains the Hausdorff distance h.
+    """
+    radius = max(np.abs(la).max(), np.abs(lb).max())
+    axis = np.linspace(-3 * radius, 3 * radius, 31)
+    z = np.concatenate([la, lb, ((la[:, None] + lb[None, :]) / 2).ravel(),
+                        (axis[:, None] + 1j * axis[None, :]).ravel()])
+    gaps = _shift_gaps(la, lb, z)
+    best = int(gaps.argmax())
+    centre, bound = z[best], float(gaps[best])
+    offsets = np.arange(-5, 6)
+    offsets = (offsets[:, None] + 1j * offsets[None, :]).ravel()
+    spacing = (axis[1] - axis[0]) / 5
+    for _ in range(4):
+        z = centre + spacing * offsets
+        spacing /= 10
+        gaps = _shift_gaps(la, lb, z)
+        best = int(gaps.argmax())
+        if gaps[best] > bound:
+            centre, bound = z[best], float(gaps[best])
+    return bound
+
+
 def unitary_distance(a, b, tol: float = 1e-8, *, seed: int = 0) -> UnitaryDistanceResult:
     """The unitary orbit distance inf ||a - u b u*||, with a unitary attaining it.
 
     Every pair starts from the aligned closed form: the eigenbases aligned
     along an optimal bottleneck matching of the spectra give u = va P vb*
-    (P = 1 on the ascending `eigh` spectra of Hermitian pairs), and its value
-    ||a - u b u*|| is an upper bound that equals the matching distance
-    delta up to rounding.  The lower bound is delta itself for Hermitian
-    (Weyl) and unitary (Bhatia-Davis) pairs, where the orbit distance is
-    delta.  For other normal pairs it is max(h, delta / 2.91), with h the
-    Hausdorff distance of the spectra (a unit eigenvector x of a with
-    eigenvalue lam gives ||a - u b u*|| >= dist(lam, sigma(b))) and 2.91
-    the Bhatia-Davis-Koosis constant; their orbit distance can drop below
-    delta.  `certificate_gap` is value - lower_bound and `converged`
-    certifies that gap <= `tol`.
+    (P = 1 on the ascending `eigh` spectra of Hermitian pairs; otherwise
+    delta comes from `_bottleneck` and P from one Dinic matching of the
+    graph {dist <= delta}), and its value ||a - u b u*|| is an upper bound
+    that equals the matching distance delta up to rounding.  The lower
+    bound is delta itself for Hermitian (Weyl) and unitary (Bhatia-Davis)
+    pairs, where the orbit distance is delta.  For other normal pairs it
+    is first max(h, delta / 2.91), with h the Hausdorff distance of the
+    spectra (a unit eigenvector x of a with eigenvalue lam gives
+    ||a - u b u*|| >= dist(lam, sigma(b))) and 2.91 the
+    Bhatia-Davis-Koosis constant; their orbit distance can drop below
+    delta.  If that leaves the gap open, the lower bound becomes
+    max(`_shifted_spectra_bound`, delta / 2.91), which contains h.
+    `certificate_gap` is value - lower_bound and `converged` certifies that
+    gap <= `tol`.
 
-    Only normal pairs whose gap stays open run multi-start descent over the
-    unitary group (`_descend`; `seed` draws its random starts).  Descent
-    stops once it closes the gap, and its value replaces the aligned one
-    only when lower.  A value below the lower bound beyond rounding raises.
+    Only normal pairs whose gap stays open under both bounds run
+    multi-start descent over the unitary group (`_descend`; `seed` draws
+    its random starts).  Descent stops once it closes the gap, and its
+    value replaces the aligned one only when lower.  A value below the
+    lower bound beyond rounding raises.
     """
     na, nb = _as_normal(a), _as_normal(b)
     if na.n != nb.n:
@@ -397,8 +531,8 @@ def unitary_distance(a, b, tol: float = 1e-8, *, seed: int = 0) -> UnitaryDistan
         (la, va), (lb, vb) = na.eigenbasis(), nb.eigenbasis()
         dist = _distance_matrix(la, lb)
         ones = np.ones(na.n, dtype=np.intp)
-        delta, flow = _bottleneck_from_matrix(dist, ones, ones)
-        vb = vb[:, flow.argmax(axis=1)]
+        delta = _bottleneck(dist, ones, ones)
+        vb = vb[:, _flow(dist <= delta)]
     u = va @ vb.conj().T
     value = operator_norm(na.array - u @ nb.array @ u.conj().T)
     start_index, n_starts, iterations = 0, 1, 0
@@ -406,6 +540,8 @@ def unitary_distance(a, b, tol: float = 1e-8, *, seed: int = 0) -> UnitaryDistan
         lower = delta
     else:
         lower = max(_hausdorff(dist), delta / BDK_CONSTANT)
+        if value - lower > tol:
+            lower = max(_shifted_spectra_bound(la, lb), delta / BDK_CONSTANT)
         if value - lower > tol:
             found, best_u, best, battery, iterations = _descend(na, nb, lower + tol, tol, seed)
             n_starts += battery
@@ -539,9 +675,9 @@ def wasserstein_inf(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Bottleneck transport distance between two rational discrete measures.
 
     Over the common denominator D of all weights (at most 2**31 - 1, the
-    int32 flow capacity) each atom carries the integer mass w * D, and the
-    value is the threshold search of `matching_distance` over the atom
-    distances with those masses as supplies and demands.  The atoms are
+    int32 range) each atom carries the integer mass w * D, and the value
+    is `_bottleneck` over the atom distances with those masses as supplies
+    and demands, the routine of `matching_distance`.  The atoms are
     complex numbers and their distances are computed exactly as in
     `matching_distance`, so the two routes are bitwise comparable.
     """
@@ -556,7 +692,7 @@ def wasserstein_inf(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
                             np.asarray(nu.atoms, dtype=complex))
     if not np.isfinite(dist).all():
         raise ValueError("atom distances must be finite: no NaN or infinite values")
-    return _bottleneck_from_matrix(dist, supply, demand)[0]
+    return _bottleneck(dist, supply, demand)
 
 
 def spectral_measure(a) -> DiscreteMeasure:

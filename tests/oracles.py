@@ -4,8 +4,9 @@ Everything here deliberately avoids the code paths under test: surjectivity
 is decided by enumerating lattice points or maximal minors rather than
 Smith forms, determinants come from Bareiss elimination, rank products are
 summed one entry at a time, step functions are compared on explicit
-rational grids, walks are stepped one state per uniform, and towers are
-built one `TowerMap` per step and pushed down one stacked batch per level.
+rational grids, walks are stepped one state per uniform, towers are
+built one `TowerMap` per step and pushed down one stacked batch per level,
+and bottleneck values come from a binary search of Dinic flow probes.
 """
 
 from __future__ import annotations
@@ -21,6 +22,43 @@ from cstarlab.intlinalg import IntMatrix, det_bareiss
 from cstarlab.rng import stream
 from cstarlab.simplex import MeasureScheme, TowerMap
 from cstarlab.walk import Barrier, InvalidParamsError, Trajectory, WalkParams
+
+
+def _flow_fits(adj: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> bool:
+    """Does a boolean adjacency carry a flow of the row supplies to the
+    column demands?  Dinic's maximum flow (source -> rows -> columns ->
+    sink)."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow
+
+    k, l = adj.shape
+    sink = k + l + 1
+    rows, cols = np.nonzero(adj)
+    tail = np.concatenate([np.zeros(k, dtype=np.intp), rows + 1, np.arange(k + 1, sink)])
+    head = np.concatenate([np.arange(1, k + 1), cols + k + 1, np.full(l, sink)])
+    capacity = np.concatenate([supply, np.minimum(supply[rows], demand[cols]), demand])
+    network = csr_matrix((capacity.astype(np.int32), (tail, head)), shape=(sink + 1, sink + 1))
+    return maximum_flow(network, 0, sink, method="dinic").flow_value == supply.sum()
+
+
+def bottleneck_threshold_search(dist: np.ndarray, supply: np.ndarray,
+                                demand: np.ndarray) -> float:
+    """Smallest entry r of `dist` such that {dist <= r} carries a flow of
+    the supplies to the demands: the Hausdorff distance h is probed first,
+    then a binary search runs over the distinct entries above it."""
+    values = np.unique(dist)
+    h = max(dist.min(axis=1).max(), dist.min(axis=0).max())
+    lo = int(np.searchsorted(values, h))
+    if _flow_fits(dist <= values[lo], supply, demand):
+        return float(values[lo])
+    hi = len(values) - 1  # admits every pair
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _flow_fits(dist <= values[mid], supply, demand):
+            hi = mid
+        else:
+            lo = mid
+    return float(values[hi])
 
 
 def is_unimodular(m: IntMatrix) -> bool:

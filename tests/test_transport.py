@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import cstarlab.transport as transport
+from oracles import bottleneck_threshold_search
 from cstarlab.rng import stream
 from cstarlab.transport import (
     DiscreteMeasure,
@@ -41,10 +42,12 @@ class TestMatchingDistance:
 
     def test_threshold_equals_brute_force(self):
         rng = stream(101)
-        for _ in range(200):
+        for trial in range(200):
             n = int(rng.integers(1, 9))
             a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            if trial % 2:  # ties within and across the two sides
+                a, b = np.round(a, 1), np.round(b, 1)
             assert matching_distance(a, b) == bottleneck_brute_force(a, b)
 
     def test_sorted_attainment_on_real_multisets(self):
@@ -97,21 +100,61 @@ def _hausdorff_and_brute(a, b):
     return h, bottleneck_brute_force(a, b)
 
 
+@pytest.fixture
+def searches(monkeypatch):
+    """(t, smallest label of a column with demand left) of every minimax
+    search `_bottleneck` runs."""
+    recorded = []
+    labels = transport._minimax_labels
+
+    def recording(dist, flow, out, inn, t):
+        col, col_pred, row_pred = labels(dist, flow, out, inn, t)
+        recorded.append((t, float(col[inn > 0].min())))
+        return col, col_pred, row_pred
+
+    monkeypatch.setattr(transport, "_minimax_labels", recording)
+    return recorded
+
+
+@pytest.fixture
+def matchings(monkeypatch):
+    """One entry per `_bottleneck` call ("bottleneck") and per scipy
+    maximum flow ("max_flow")."""
+    from scipy.sparse import csgraph
+
+    counted = []
+    bottleneck, max_flow = transport._bottleneck, csgraph.maximum_flow
+
+    def counting_bottleneck(*args):
+        counted.append("bottleneck")
+        return bottleneck(*args)
+
+    def counting_max_flow(*args, **kwargs):
+        counted.append("max_flow")
+        return max_flow(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "_bottleneck", counting_bottleneck)
+    monkeypatch.setattr(csgraph, "maximum_flow", counting_max_flow)
+    return counted
+
+
+def _complex_multisets(rng, n, rounded):
+    a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if rounded:  # ties within and across the two sides
+        a, b = np.round(a, 1), np.round(b, 1)
+    return a, b
+
+
+def _counts(rng, atoms, denom):
+    cuts = np.sort(rng.choice(np.arange(1, denom), atoms - 1, replace=False))
+    return np.diff(np.concatenate(([0], cuts, [denom])))
+
+
 class TestBottleneckSearch:
-    """The threshold search starts at the Hausdorff distance h <= delta;
-    real multisets take the sorted closed form with no search."""
-
-    @pytest.fixture
-    def probes(self, monkeypatch):
-        counted = []
-        flow = transport._flow
-
-        def counting_flow(*args):
-            counted.append(1)
-            return flow(*args)
-
-        monkeypatch.setattr(transport, "_flow", counting_flow)
-        return counted
+    """`_bottleneck` starts at the Hausdorff distance h <= delta and raises
+    its threshold only along minimax augmenting paths; real multisets take
+    the sorted closed form with no matching at all."""
 
     def _complex_pairs(self, seed, count):
         rng = stream(seed)
@@ -120,28 +163,35 @@ class TestBottleneckSearch:
             yield (rng.standard_normal(n) + 1j * rng.standard_normal(n),
                    rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
-    def test_one_probe_when_hausdorff_is_optimal(self, probes):
+    def test_no_augmentation_above_hausdorff_when_optimal(self, searches, matchings):
         checked = 0
         for a, b in self._complex_pairs(104, 120):
             h, delta = _hausdorff_and_brute(a, b)
             if h != delta:
                 continue
-            probes.clear()
+            searches.clear()
+            matchings.clear()
             assert matching_distance(a, b) == delta
-            assert len(probes) == 1
+            # every search reached a column with demand left inside {dist <= h}
+            assert all(t == h and label <= h for t, label in searches)
+            assert matchings == ["bottleneck"]
             checked += 1
         assert checked >= 40
 
-    def test_search_above_hausdorff_equals_brute_force(self):
+    def test_search_above_hausdorff_equals_brute_force(self, searches):
         checked = 0
         for a, b in self._complex_pairs(105, 200):
             h, delta = _hausdorff_and_brute(a, b)
             if h < delta:
+                searches.clear()
                 assert matching_distance(a, b) == delta
+                # the threshold rose from h, each time to a search's label
+                assert searches[0][0] == h
+                assert any(label > t for t, label in searches)
                 checked += 1
         assert checked >= 20
 
-    def test_real_closed_form_equals_threshold_search(self, probes):
+    def test_real_closed_form_equals_threshold_search(self, matchings):
         rng = stream(106)
         for trial in range(150):
             n = int(rng.integers(1, 65))
@@ -149,15 +199,74 @@ class TestBottleneckSearch:
             if trial % 3 == 1:  # ties within and across the two sides
                 a, b = np.round(a, 1), np.round(b, 1)
             ones = np.ones(n, dtype=np.intp)
-            search = transport._bottleneck_from_matrix(np.abs(a[:, None] - b[None, :]),
-                                                       ones, ones)[0]
-            probes.clear()
+            search = bottleneck_threshold_search(np.abs(a[:, None] - b[None, :]), ones, ones)
+            matchings.clear()
             # a -0.0 imaginary part is no imaginary part
             b_signed = b + 1j * np.full(n, -0.0) if trial % 2 else b
             value = matching_distance(a, b_signed)
-            assert not probes
+            assert not matchings
             assert value == search
             assert math.copysign(1.0, value) == 1.0
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+    def test_equals_threshold_search_up_to_256(self, n):
+        rng = stream(108, n)
+        for trial in range(12 if n <= 64 else 4):
+            a, b = _complex_multisets(rng, n, rounded=trial % 2 == 1)
+            ones = np.ones(n, dtype=np.intp)
+            expected = bottleneck_threshold_search(np.abs(a[:, None] - b[None, :]), ones, ones)
+            assert matching_distance(a, b) == expected
+
+    def test_capacitated_equals_threshold_search(self):
+        # rational measures over D = 12, 48 and 6007, some atoms rounded
+        # onto ties; supplies and demands are the integer masses w * D
+        rng = stream(109)
+        for trial in range(90):
+            denom = (12, 48, 6007)[trial % 3]
+            sides = []
+            for _ in range(2):
+                counts = _counts(rng, int(rng.integers(1, 7)), denom)
+                z = rng.standard_normal(counts.size) + 1j * rng.standard_normal(counts.size)
+                if trial % 2:
+                    z = np.round(z, 1)
+                sides.append((DiscreteMeasure(tuple(z), tuple(Fraction(int(c), denom)
+                                                              for c in counts)), z, counts))
+            (mu, x, cx), (nu, y, cy) = sides
+            expected = bottleneck_threshold_search(np.abs(x[:, None] - y[None, :]), cx, cy)
+            assert wasserstein_inf(mu, nu) == expected
+
+    def test_large_expansion_equals_threshold_search(self):
+        # 41 and 31 complex atoms of equal weight: 1271 units per side
+        rng = stream(110)
+        x = rng.standard_normal(41) + 1j * rng.standard_normal(41)
+        y = rng.standard_normal(31) + 1j * rng.standard_normal(31)
+        mu, nu = DiscreteMeasure.equal_weights(tuple(x)), DiscreteMeasure.equal_weights(tuple(y))
+        expected = bottleneck_threshold_search(np.abs(x[:, None] - y[None, :]),
+                                               np.full(41, 31), np.full(31, 41))
+        assert wasserstein_inf(mu, nu) == expected
+
+    def test_max_flow_only_for_the_orbit_permutation(self, matchings):
+        # scipy's maximum flow runs once per non-Hermitian orbit, at delta,
+        # and in no bottleneck value
+        rng = stream(111)
+        a, b = _complex_multisets(rng, 12, rounded=False)
+        calls = {
+            "matching": lambda: matching_distance(a, b),
+            "winf": lambda: wasserstein_inf(DiscreteMeasure.equal_weights(tuple(a)),
+                                            DiscreteMeasure.equal_weights(tuple(b[:4]))),
+            "winf_pair": lambda: winf_pair(random_normal(4, rng), random_normal(4, rng)),
+            "hermitian": lambda: unitary_distance(random_hermitian(4, rng),
+                                                  random_hermitian(4, rng)),
+            "unitary": lambda: unitary_distance(random_unitary(4, rng), random_unitary(4, rng)),
+            "normal": lambda: unitary_distance(random_normal(4, rng), random_normal(4, rng)),
+        }
+        seen = {}
+        for name, call in calls.items():
+            matchings.clear()
+            call()
+            seen[name] = matchings.count("max_flow")
+        assert seen == {"matching": 0, "winf": 0, "winf_pair": 0, "hermitian": 0,
+                        "unitary": 1, "normal": 1}
 
 
 class TestNormalMatrix:
@@ -221,7 +330,7 @@ class TestUnitaryDistance:
 
     def test_hermitian_lower_bound_is_matching_of_eigh_spectra(self):
         # the ascending eigh spectra matched in order give the bottleneck
-        # value of the threshold search bit for bit
+        # value of matching_distance bit for bit
         rng = stream(6)
         for n in range(1, 9):
             for _ in range(10):
@@ -279,6 +388,8 @@ class TestUnitaryDistance:
         a, b = np.diag(lam), np.diag(mu)
         delta = matching_distance(lam, mu)
         res = unitary_distance(a, b, seed=0)
+        # the value found before the shifted-spectra bound existed, bitwise
+        assert res.value == 3.0944791814275145
         assert res.value < delta - 1e-5
         assert res.value >= res.lower_bound
         assert not res.converged and res.n_starts > 1 and res.start_index >= 1
@@ -328,6 +439,8 @@ class TestUnitaryDistance:
         assert seed == 14941291
         delta = matching_distance(np.linalg.eigvals(a), np.linalg.eigvals(b))
         res = unitary_distance(a, b, 1e-8, seed=seed)
+        # the value found before the shifted-spectra bound existed, bitwise
+        assert res.value == 2.976025632987835
         assert res.value <= delta - 1e-4
         assert res.value >= res.lower_bound
         assert res.start_index >= 1
@@ -336,17 +449,25 @@ class TestUnitaryDistance:
 
     def test_start_counts(self):
         # start 0 is the aligned unitary; a descended pair adds the battery:
-        # all 24 permutations at n = 4, N_STARTS = 16 starts at other n
+        # all 24 permutations at n = 4, N_STARTS = 16 starts at other n.
+        # Most random pairs close under the shifted-spectra bound, so n = 3
+        # takes the pair of test_normal_pair_below_matching, whose gap stays
+        # open, and n = 4 and 5 take 30 random pairs each
         rng = stream(10)
         a = random_normal(4, rng)
         for pair in ((random_hermitian(4, rng), random_hermitian(4, rng)),
                      (random_unitary(4, rng), random_unitary(4, rng)), (a, a)):
             res = unitary_distance(*pair)
             assert (res.start_index, res.n_starts) == (0, 1)
-        for n in (3, 4, 5):
+        lam = [0.3 - 0.3j, 1.6 + 0.3j, 1.2 + 1.8j]
+        mu = [-1.5 + 0.1j, -0.3 - 2.2j, -0.1 + 0.2j]
+        pairs = {3: [(np.diag(lam), np.diag(mu))]}
+        for n in (4, 5):
+            pairs[n] = [(random_normal(n, rng), random_normal(n, rng)) for _ in range(30)]
+        for n, group in pairs.items():
             descended = 0
-            for _ in range(12):
-                res = unitary_distance(random_normal(n, rng), random_normal(n, rng), seed=n)
+            for a, b in group:
+                res = unitary_distance(a, b, seed=n)
                 if res.n_starts > 1:
                     descended += 1
                     assert res.n_starts == (25 if n == 4 else 17)
@@ -354,6 +475,22 @@ class TestUnitaryDistance:
                 else:
                     assert (res.start_index, res.iterations, res.converged) == (0, 0, True)
             assert descended >= 1
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_shifted_spectra_bound_is_sound(self, n):
+        # the bound contains the Hausdorff distance h, and no unitary beats
+        # it: neither the returned one nor Haar draws
+        rng = stream(112, n)
+        for _ in range(12):
+            a, b = random_normal(n, rng), random_normal(n, rng)
+            la, lb = a.eigenbasis()[0], b.eigenbasis()[0]
+            bound = transport._shifted_spectra_bound(la, lb)
+            assert bound >= transport._hausdorff(transport._distance_matrix(la, lb))
+            res = unitary_distance(a, b)
+            unitaries = [res.unitary] + [random_unitary(n, rng).array for _ in range(20)]
+            for u in unitaries:
+                assert bound <= operator_norm(a.array - u @ b.array @ u.conj().T) + 1e-12
+            assert res.lower_bound <= res.value + 1e-12
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatchError):
