@@ -5,7 +5,7 @@ Subcommands
 walk      simulate trajectories, report per-trial hitting/max statistics
 sample    Monte-Carlo estimate of the return-to-zero proxy + descriptor
 simplex   build one collapse tower and archive it as JSON
-weyl      table of (matching distance, orbit distance, gap) over random pairs
+weyl      (matching distance, orbit distance, lower bound, gap) over random pairs
 cuntz     K1-triviality and unit checks over a range of block sizes
 ktheory   six-term computations for the shift algebra and dimension drops
 summary   human-readable aggregates of a previously written report
@@ -269,7 +269,7 @@ def _cmd_weyl(cfg: dict):
                    if cfg["ensemble"] == "hermitian" else (a.spectrum(), b.spectrum()))
         delta = matching_distance(*spectra)
         res = unitary_distance(a, b, cfg["tol"], seed=mix64(seed, t))
-        records.append({"trial": t, "delta": delta, "d_u": res.value,
+        records.append({"trial": t, "delta": delta, "d_u": res.value, "lower": res.lower_bound,
                         "gap": res.value - delta, "converged": res.converged})
     return cfg, records, 0 if all(rec["converged"] for rec in records) else 3
 
@@ -321,7 +321,7 @@ _COMMANDS = {
     "weyl": (_cmd_weyl, "matching vs orbit distance table",
              {"n": 4, "ensemble": "hermitian", "tol": 1e-8, "trials": 100, "seed": 0,
               "output": "weyl_report.csv", "format": "csv"},
-             ("trial", "delta", "d_u", "gap", "converged")),
+             ("trial", "delta", "d_u", "lower", "gap", "converged")),
     "cuntz": (_cmd_cuntz, "K1-triviality / unit checks over block sizes",
               {"max_size": 10, "output": "cuntz_report.jsonl", "format": "json"},
               ("p", "q", "gcd", "k1_trivial", "unit_check")),

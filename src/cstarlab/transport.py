@@ -19,7 +19,8 @@ threshold is ever probed and the value is an entry of the matrix:
   other normal pairs h and delta / 2.91 (Bhatia-Davis-Koosis) bound it
   below, then, if that leaves a gap, Weyl's perturbation theorem on the
   singular values of a - z over a fixed set of shifts z, and descent from
-  permutation and Haar starts runs only when both leave a gap;
+  permutation and Haar starts, until none can beat the aligned value at
+  its recent rate, runs only when both leave a gap;
 * `wasserstein_inf` -- the bottleneck transport distance between discrete
   measures with rational weights, exact on atoms of integer mass w * D.
 
@@ -49,10 +50,10 @@ NORMALITY_TOL = 1e-10
 ATOM_MERGE_TOL = 1e-9
 # Bhatia-Davis-Koosis: delta <= 2.91 ||a - b|| for normal a, b
 BDK_CONSTANT = 2.91
-# descent: starts, iteration cap, stagnant iterations before a start freezes
+# descent: starts, iteration cap, iterations over which a start's rate is read
 N_STARTS = 16
 MAX_ITER = 120
-PATIENCE = 6
+WINDOW = 2
 
 
 class SizeMismatchError(ValueError):
@@ -378,9 +379,10 @@ class UnitaryDistanceResult:
     the certified lower bound (delta for Hermitian and unitary pairs; for
     other normal pairs the larger of h and delta / 2.91, or, when that
     leaves the gap open, of the shifted-spectra bound and delta / 2.91);
-    `certificate_gap` is value - lower_bound.  Start 0 is the aligned unitary: a pair without descent reports start 0
-    of 1, a descended one 1 + the battery size of starts, and start 1 + k
-    when battery start k of `_starting_unitaries` gave the value."""
+    `certificate_gap` is value - lower_bound.  Start 0 is the aligned
+    unitary: a pair without descent reports start 0 of 1, a descended one
+    1 + the battery size of starts, and start 1 + k when battery start k
+    of `_starting_unitaries` gave the value."""
 
     value: float
     unitary: np.ndarray
@@ -437,8 +439,7 @@ def _starting_unitaries(n: int, seed: int) -> np.ndarray:
     identity, the reversal and four drawn from `stream(seed, 1)` (a drawn
     identity is skipped).  Eigenbasis alignments va P vb* are not starts:
     u b u* then commutes with a, so the gradient skew([b, c d*]) vanishes
-    there and such a start would freeze where it began, at a value no
-    lower than the aligned one the caller already holds."""
+    there: such a start could not leave the aligned value."""
     if n <= 4:
         perms = _all_perms(n)
     else:
@@ -505,18 +506,17 @@ def unitary_distance(a, b, tol: float = 1e-8, *, seed: int = 0) -> UnitaryDistan
     pairs, where the orbit distance is delta.  For other normal pairs it
     is first max(h, delta / 2.91), with h the Hausdorff distance of the
     spectra (a unit eigenvector x of a with eigenvalue lam gives
-    ||a - u b u*|| >= dist(lam, sigma(b))) and 2.91 the
-    Bhatia-Davis-Koosis constant; their orbit distance can drop below
-    delta.  If that leaves the gap open, the lower bound becomes
-    max(`_shifted_spectra_bound`, delta / 2.91), which contains h.
-    `certificate_gap` is value - lower_bound and `converged` certifies that
-    gap <= `tol`.
+    ||a - u b u*|| >= dist(lam, sigma(b))) and 2.91 the Bhatia-Davis-Koosis
+    constant; their orbit distance can drop below delta.  If that leaves
+    the gap open, the lower bound becomes max(`_shifted_spectra_bound`,
+    delta / 2.91), which contains h.  `converged` certifies that
+    `certificate_gap` = value - lower_bound is at most `tol`.
 
     Only normal pairs whose gap stays open under both bounds run
     multi-start descent over the unitary group (`_descend`; `seed` draws
-    its random starts).  Descent stops once it closes the gap, and its
-    value replaces the aligned one only when lower.  A value below the
-    lower bound beyond rounding raises.
+    its random starts) until it closes the gap or no start could beat the
+    aligned value at its recent rate; its value replaces the aligned one
+    only when lower.  A value below the lower bound beyond rounding raises.
     """
     na, nb = _as_normal(a), _as_normal(b)
     if na.n != nb.n:
@@ -543,7 +543,7 @@ def unitary_distance(a, b, tol: float = 1e-8, *, seed: int = 0) -> UnitaryDistan
         if value - lower > tol:
             lower = max(_shifted_spectra_bound(la, lb), delta / BDK_CONSTANT)
         if value - lower > tol:
-            found, best_u, best, battery, iterations = _descend(na, nb, lower + tol, tol, seed)
+            found, best_u, best, battery, iterations = _descend(na, nb, lower + tol, value, seed)
             n_starts += battery
             if found < value:
                 value, u, start_index = found, best_u, 1 + best
@@ -560,20 +560,21 @@ def unitary_distance(a, b, tol: float = 1e-8, *, seed: int = 0) -> UnitaryDistan
     )
 
 
-def _descend(na: NormalMatrix, nb: NormalMatrix, target: float, tol: float,
+def _descend(na: NormalMatrix, nb: NormalMatrix, target: float, aligned: float,
              seed: int) -> tuple[float, np.ndarray, int, int, int]:
     """Multi-start descent on u -> ||a - u b u*|| from `_starting_unitaries`.
 
     Each start follows the negative gradient in the skew-Hermitian
     parametrisation with Armijo backtracking (at most 45 halvings of the
-    step).  The operator norm is only subdifferentiable at singular-value
-    ties, so a start freezes when its gradient norm falls below `tol` or
-    it makes no progress for `PATIENCE` iterations; all starts stop once
-    some value reaches `target`, or after `MAX_ITER` iterations.
-    Stationarity is no certificate: the caller judges the value by its
-    lower bound alone.
-    Returns (value, unitary, battery index) of the lowest value found, the
-    battery size and the iterations run.
+    step).  Only a value below `aligned` is of use, so after k >= `WINDOW`
+    iterations a start freezes when value - aligned exceeds its mean
+    decrease over the last `WINDOW` times the `MAX_ITER` - k left: at its
+    recent rate it could not beat `aligned`.  The norm is nonsmooth at
+    singular-value ties, where the gradient need not shrink, so no
+    stationarity is tested; the caller judges the value by its lower bound
+    alone.  All starts stop once some value reaches `target`, or after
+    `MAX_ITER` iterations.  Returns (value, unitary, battery index) of the
+    lowest value found, the battery size and the iterations run.
     """
     amat, bmat = na.array, nb.array
     u = _starting_unitaries(na.n, seed)
@@ -589,8 +590,8 @@ def _descend(na: NormalMatrix, nb: NormalMatrix, target: float, tol: float,
     values, grads = _orbit_gradients(amat, bmat, u)
     grad_norms = _norms(grads, values)
     step = np.full(s, 0.5)
-    frozen = grad_norms < tol
-    stagnant = np.zeros(s, dtype=int)
+    frozen = np.zeros(s, dtype=bool)
+    trail = [values.copy()]
     iterations = 0
 
     while not frozen.all() and iterations < MAX_ITER and values.min() > target:
@@ -614,13 +615,12 @@ def _descend(na: NormalMatrix, nb: NormalMatrix, target: float, tol: float,
             eta[trying[~ok]] /= 2.0
         u[active] = new_u
         step[active] = np.clip(eta * 2.0, 0.0, 4.0)
-        vals_a, grads_a = _orbit_gradients(amat, bmat, u[active])
-        progressed = values[active] - vals_a > 1e-10 * (1.0 + np.abs(vals_a))
-        stagnant[active] = np.where(progressed, 0, stagnant[active] + 1)
-        values[active] = vals_a
-        grads[active] = grads_a
-        grad_norms[active] = _norms(grads_a, vals_a)
-        frozen[active] = (grad_norms[active] < tol) | (stagnant[active] >= PATIENCE)
+        values[active], grads[active] = _orbit_gradients(amat, bmat, u[active])
+        grad_norms[active] = _norms(grads[active], values[active])
+        trail.append(values.copy())
+        if iterations >= WINDOW:
+            rate = (trail[-1 - WINDOW] - values) / WINDOW
+            frozen |= values - aligned > rate * (MAX_ITER - iterations)
 
     best = int(np.argmin(values))
     return float(values[best]), u[best], best, s, iterations
@@ -674,8 +674,8 @@ class DiscreteMeasure:
 def wasserstein_inf(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Bottleneck transport distance between two rational discrete measures.
 
-    Over the common denominator D of all weights (at most 2**31 - 1, the
-    int32 range) each atom carries the integer mass w * D, and the value
+    Over the common denominator D of all weights (at most 2**63 - 1, the
+    int64 range) each atom carries the integer mass w * D, and the value
     is `_bottleneck` over the atom distances with those masses as supplies
     and demands, the routine of `matching_distance`.  The atoms are
     complex numbers and their distances are computed exactly as in
@@ -684,8 +684,8 @@ def wasserstein_inf(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     if mu.space is not None and nu.space is not None and mu.space != nu.space:
         raise IncompatibleSpacesError(f"measures live over {mu.space!r} vs {nu.space!r}")
     denom = lcm(mu.common_denominator(), nu.common_denominator())
-    if denom > np.iinfo(np.int32).max:
-        raise ValueError(f"common denominator {denom} overflows int32 flow capacities")
+    if denom > np.iinfo(np.int64).max:
+        raise ValueError(f"common denominator {denom} overflows int64 masses")
     supply = np.array([int(w * denom) for w in mu.weights])
     demand = np.array([int(w * denom) for w in nu.weights])
     dist = _distance_matrix(np.asarray(mu.atoms, dtype=complex),

@@ -17,8 +17,8 @@ from cstarlab.walk import WalkParams, sample_trajectory
 # reports holding a flagged weyl row: a normal pair whose certificate gap
 # stays open, or a tolerance below rounding
 FLAGGED_EXIT = {
-    "af9bf5c87d4a5a57c1dd4ee00762e62d886697ec8b8dcd524622108efc018fe5": 3,
-    "fc0ee5973a09743b41f87cdb653c4f540560d0e7803ac108f52c5bb5692d7de2": 3,
+    "115db3d613b8db9100554244c4fa857db082a21e75feebcf926b46c27d8730f9": 3,
+    "d200a0180bef3f00bad55c4c06fb915c26f973070d09a5cda7a3b5715a39560f": 3,
 }
 
 
@@ -77,12 +77,13 @@ class TestDeterminism:
         (["sample", "--p", "0.55", "--barrier", "absorbing", "--start", "4", "--scheme",
           "barycenter", "--trials", "100", "--horizon", "1200", "--seed", "2"],
          "503c3fbc653c3ab966e5687a8865c45cdd5170845a8a96261a9ef068fde67d84"),
-        # recorded before normal pairs moved to the aligned closed form, which
-        # leaves Hermitian and unitary results bitwise unchanged
+        # every weyl digest was re-pinned when reports gained the `lower`
+        # column; Hermitian and unitary values are otherwise unchanged since
+        # before normal pairs moved to the aligned closed form
         (["weyl", "--n", "4", "--trials", "20", "--ensemble", "hermitian", "--seed", "3"],
-         "69a904ed8905097560f1dc0f9d253c9d41698aa67b6984eefb8d89005e511360"),
+         "d822ca08d5546ffc50989ed27e91d5baed0bc64cac52da9010c4fe97d323c009"),
         (["weyl", "--n", "5", "--trials", "20", "--ensemble", "unitary", "--seed", "3"],
-         "c18e6487e954249e385f288b7cd886bc6df1c0fd974098d8af943d94a0d51523"),
+         "e791bb928afb0d15b4ca107ac34a69e5a479ae5b5c1552e294f3343148ab1a10"),
         # recorded before the subcommands shared one option table and renderer
         (["walk", "--p", "0.6", "--start", "1", "--length", "200", "--trials", "50", "--seed", "41"],
          "ee81f90a3c17b5a67ac7d7e85b718358bbca8fac9c6bdddb5852d10313a168ca"),
@@ -91,13 +92,14 @@ class TestDeterminism:
          "540c1c1a78436c24fff62e6526cd920468687ccc82389f9ebc296fe2a88db9b8"),
         (["walk", "--config", "walk.json", "--p", "0.45"],
          "e8b5c93349e483ae7f43a2aa28689b4cb080570648d5d465ec2f64ac94e5bccc"),
-        # re-pinned when the shifted-spectra lower bound arrived: trials 4, 6
-        # and 9 now certify (converged 0 -> 1) with d_u and gap unchanged
+        # beside the `lower` column, the one freeze rule of descent lowered
+        # d_u (and gap) of trials 1, 7 and 11 in the last bits; converged and
+        # the exit code are unchanged
         (["weyl", "--n", "4", "--trials", "20", "--ensemble", "normal", "--seed", "3",
           "--format", "csv"],
-         "af9bf5c87d4a5a57c1dd4ee00762e62d886697ec8b8dcd524622108efc018fe5"),
+         "115db3d613b8db9100554244c4fa857db082a21e75feebcf926b46c27d8730f9"),
         (["weyl", "--n", "3", "--trials", "4", "--seed", "2", "--tol", "1e-30"],
-         "fc0ee5973a09743b41f87cdb653c4f540560d0e7803ac108f52c5bb5692d7de2"),
+         "d200a0180bef3f00bad55c4c06fb915c26f973070d09a5cda7a3b5715a39560f"),
         (["cuntz", "--max-size", "8"],
          "93d23cd8f9b2322431506004948d92546da78ebe45dd1763601e2dadc8203f87"),
         (["cuntz", "--max-size", "8", "--format", "csv"],
@@ -431,7 +433,7 @@ class TestReports:
         rc = run(["weyl", "--n", "2", "--trials", "4", "--seed", "5", "--output", out])
         assert rc == 0
         body = strip_header(out)
-        assert body[0].strip() == "trial,delta,d_u,gap,converged"
+        assert body[0].strip() == "trial,delta,d_u,lower,gap,converged"
         assert len(body) == 5
 
     def test_simplex_tower_roundtrips(self, tmp_path):
