@@ -25,10 +25,13 @@ the compact element of the same value.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
+
+import numpy as np
 
 from .intlinalg import IntMatrix, cokernel
 
@@ -326,20 +329,45 @@ def add_elements(e1: CuNccwElement, e2: CuNccwElement) -> CuNccwElement:
         e1.m0, e1.m1)
 
 
+def dimension_drop_sizes(p: int, q: int) -> tuple[int, int]:
+    """The block sizes (p, q) of a dimension-drop interval, as Python ints.
+
+    Each must be an integer >= 1: a Python int or a numpy integer (any
+    value `operator.index` accepts), never a Python or numpy bool (some
+    numpy versions let `operator.index` read one as 0 or 1).  Anything
+    else raises the same ValueError.  Every dimension-drop entry point
+    checks its sizes here.
+    """
+    sizes = (0, 0)
+    if not isinstance(p, (bool, np.bool_)) and not isinstance(q, (bool, np.bool_)):
+        try:
+            sizes = (operator.index(p), operator.index(q))
+        except TypeError:
+            pass
+    if min(sizes) < 1:
+        raise ValueError(f"block sizes must be integers >= 1, got p={p!r}, q={q!r}")
+    return sizes
+
+
 def dimension_drop_boundary_maps(p: int, q: int) -> tuple[IntMatrix, IntMatrix]:
     """Boundary matrices of the (p, q) dimension-drop interval.
 
     At 0 the fibre is the p-block amplified q times, at 1 the q-block
     amplified p times, so M0 = [q, 0] and M1 = [0, p] on the rank vector
-    (v_p, v_q).
+    (v_p, v_q).  The sizes are checked by `dimension_drop_sizes`: integers
+    >= 1, numpy integers included, bools refused.
     """
-    if p < 1 or q < 1:
-        raise ValueError("block sizes must be >= 1")
-    return IntMatrix.from_rows([[q, 0]]), IntMatrix.from_rows([[0, p]])
+    p, q = dimension_drop_sizes(p, q)
+    return IntMatrix(1, 2, ((q, 0),)), IntMatrix(1, 2, ((0, p),))
 
 
 def dimension_drop_unit(p: int, q: int) -> CuNccwElement:
-    """The unit's class: constant rank pq with block ranks (p, q)."""
+    """The unit's class: constant rank pq with block ranks (p, q).
+
+    The sizes are checked by `dimension_drop_sizes`: integers >= 1, numpy
+    integers included, bools refused.
+    """
+    p, q = dimension_drop_sizes(p, q)
     m0, m1 = dimension_drop_boundary_maps(p, q)
     return CuNccwElement((LscStep.constant(p * q),), (ExtNat(p), ExtNat(q)), m0, m1)
 

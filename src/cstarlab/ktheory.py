@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .cuntz import dimension_drop_sizes
 from .intlinalg import ZERO_GROUP, Z, FGAbelianGroup, IntMatrix, cokernel, kernel_rank, rank
 
 SLOT_NAMES = ("k0_ideal", "k0_algebra", "k0_quotient",
@@ -200,13 +201,14 @@ def k_dimension_drop(p: int, q: int) -> tuple[FGAbelianGroup, FGAbelianGroup]:
     and the endpoint evaluation quotient is a two-block matrix algebra with
     K-groups (Z^2, 0); the exponential map is [q, -p] in the rank-one
     generators.  Coprime (p, q) give (Z, 0); in general K1 = Z/gcd(p, q).
+    The sizes are checked by `cuntz.dimension_drop_sizes`: integers >= 1,
+    numpy integers included, bools refused.
     """
-    if not (isinstance(p, int) and isinstance(q, int)) or p < 1 or q < 1:
-        raise ValueError("fibre sizes must be integers >= 1")
+    p, q = dimension_drop_sizes(p, q)
     problem = SixTermProblem.for_algebra(
         k0_ideal=ZERO_GROUP, k1_ideal=Z,
         k0_quotient=FGAbelianGroup.free(2), k1_quotient=ZERO_GROUP,
-        exp_map=IntMatrix.from_rows([[q, -p]]),
+        exp_map=IntMatrix(1, 2, ((q, -p),)),
         index_map=IntMatrix(0, 0, ()),
     )
     solution = solve_six_term(problem)

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths under test: surjectivity
 is decided by enumerating lattice points or maximal minors rather than
 Smith forms, determinants come from Bareiss elimination, rank products are
-summed one entry at a time, step functions are compared on explicit
+summed one entry at a time, Smith forms are compared with an elimination
+whose every step runs full-length, step functions are compared on explicit
 rational grids, walks are stepped one state per uniform, towers are
 built one `TowerMap` per step and pushed down one stacked batch per level,
 and bottleneck values come from a binary search of Dinic flow probes.
@@ -18,7 +19,7 @@ from math import gcd
 import numpy as np
 
 from cstarlab.cuntz import EXT_INF, ExtNat
-from cstarlab.intlinalg import IntMatrix, det_bareiss
+from cstarlab.intlinalg import IntMatrix, _bezout, det_bareiss
 from cstarlab.rng import stream
 from cstarlab.simplex import MeasureScheme, TowerMap
 from cstarlab.walk import Barrier, InvalidParamsError, Trajectory, WalkParams
@@ -113,6 +114,83 @@ def random_unimodular(rng: np.random.Generator, n: int, steps: int = 12) -> IntM
     if rng.random() < 0.5 and n >= 2:
         a[0], a[1] = a[1], a[0]
     return IntMatrix.from_rows(a, cols=n)
+
+
+def dense_eliminate(a: list[list[int]], rows: int, cols: int) -> tuple[int, ...]:
+    """`intlinalg._eliminate` with every row and column step run over whole
+    rows and columns, zero entries included: the same pivots, Bezout
+    coefficients and operations, so every entry must come out equal."""
+    t = 0
+    while t < min(rows, cols):
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                x = abs(a[i][j])
+                if x and (best is None or x < best[0]):
+                    best = (x, i, j)
+                    if x == 1:
+                        break
+            if best is not None and best[0] == 1:
+                break
+        if best is None:
+            break
+        _, bi, bj = best
+        if bi != t:
+            a[t], a[bi] = a[bi], a[t]
+        if bj != t:
+            for row in a:
+                row[t], row[bj] = row[bj], row[t]
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+        while True:
+            refilled = True
+            while refilled:
+                refilled = False
+                for i in range(t + 1, rows):
+                    p, b = a[t][t], a[i][t]
+                    if b % p == 0:
+                        if b:
+                            q = b // p
+                            a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                        continue
+                    g, x, y = _bezout(p, b)
+                    pg, bg = p // g, b // g
+                    a[t], a[i] = ([x * s + y * r for s, r in zip(a[t], a[i])],
+                                  [pg * r - bg * s for s, r in zip(a[t], a[i])])
+                for j in range(t + 1, cols):
+                    p, b = a[t][t], a[t][j]
+                    if b % p == 0:
+                        if b:
+                            q = b // p
+                            for row in a:
+                                row[j] -= q * row[t]
+                        continue
+                    g, x, y = _bezout(p, b)
+                    pg, bg = p // g, b // g
+                    for row in a:
+                        row[t], row[j] = x * row[t] + y * row[j], pg * row[j] - bg * row[t]
+                    refilled = True
+            d = a[t][t]
+            if d == 1:
+                break
+            offender = next((i for i in range(t + 1, rows)
+                             if any(a[i][j] % d for j in range(t + 1, cols))), None)
+            if offender is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
+        t += 1
+    return tuple(a[i][i] for i in range(min(rows, cols)) if a[i][i])
+
+
+def dense_smith_form(m: IntMatrix):
+    """(U, D, V) entries and the nonzero diagonal from `dense_eliminate` on
+    [[m, I], [I, 0]]."""
+    r, c = m.rows, m.cols
+    a = [row + [int(i == k) for k in range(r)] for i, row in enumerate(m.to_lists())]
+    a += [[int(i == j) for j in range(c)] + [0] * r for i in range(c)]
+    diagonal = dense_eliminate(a, r, c)
+    return (tuple(tuple(row[c:]) for row in a[:r]), tuple(tuple(row[:c]) for row in a[:r]),
+            tuple(tuple(row[:c]) for row in a[r:]), diagonal)
 
 
 def ext_matvec_per_entry(m: IntMatrix, v) -> tuple[ExtNat, ...]:

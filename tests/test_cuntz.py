@@ -1,6 +1,8 @@
 import math
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,7 @@ from cstarlab.cuntz import (
     nccw_check,
 )
 from cstarlab.intlinalg import IntMatrix
+from cstarlab.ktheory import k_dimension_drop
 from cstarlab.rng import stream
 
 from oracles import (
@@ -283,6 +286,31 @@ class TestNccw:
         with pytest.raises(ShapeMismatchError):
             CuNccwElement((LscStep.zero(),), (ExtNat(0), ExtNat(0)),
                           m0, IntMatrix.from_rows([[1, 1, 1]]))
+
+
+DIMENSION_DROP_ENTRY_POINTS = [dimension_drop_boundary_maps, dimension_drop_unit, k_dimension_drop]
+
+
+class TestDimensionDropSizes:
+    # the three dimension-drop entry points share one check of (p, q)
+    @pytest.mark.parametrize("entry", DIMENSION_DROP_ENTRY_POINTS)
+    @pytest.mark.parametrize("p, q", [(True, 2), (2, True), (False, 1), (np.True_, 2),
+                                      (2.0, 3), ("2", 3), (None, 3), (0, 3), (2, -1)])
+    def test_refused_with_one_message(self, entry, p, q):
+        message = f"block sizes must be integers >= 1, got p={p!r}, q={q!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            entry(p, q)
+
+    @pytest.mark.parametrize("entry", DIMENSION_DROP_ENTRY_POINTS)
+    def test_numpy_integers_accepted(self, entry):
+        assert entry(np.int64(2), np.int32(4)) == entry(2, 4)
+
+    def test_numpy_sizes_become_python_ints(self):
+        m0, m1 = dimension_drop_boundary_maps(np.int64(2), np.uint8(3))
+        unit = dimension_drop_unit(np.int64(2), np.uint8(3))
+        assert [type(x) for x in m0.entries[0] + m1.entries[0]] == [int] * 4
+        assert [type(x.value) for x in unit.v] == [int, int]
+        assert nccw_check(unit)
 
 
 class TestK1Trivial:

@@ -1,3 +1,4 @@
+import re
 import signal
 
 import numpy as np
@@ -20,7 +21,7 @@ from cstarlab.intlinalg import (
 )
 from cstarlab.rng import stream
 
-from oracles import is_unimodular, random_unimodular
+from oracles import dense_smith_form, is_unimodular, random_unimodular
 
 
 @st.composite
@@ -189,6 +190,49 @@ class TestSmithNormalForm:
                    for t in (snf.u, snf.d, snf.v) for row in t.entries for x in row) <= 64
 
 
+def _cuntz_krieger(rng, n, ones_per_row):
+    """I - A^T for a random 0/1 matrix A with about `ones_per_row` ones per row."""
+    a = (rng.random((n, n)) < ones_per_row / n).astype(int)
+    return IntMatrix.from_rows((np.eye(n, dtype=int) - a.T).tolist())
+
+
+def _bitwise_inputs(kind):
+    rng = np.random.default_rng(24)
+    if kind == "cuntz_krieger":  # the benchmark's classes: two ones per row, 1.5 above n = 32
+        return [_cuntz_krieger(rng, n, 2.0 if n <= 32 else 1.5)
+                for n in range(8, 41, 4) for _ in range(6)]
+    if kind == "three_ones_per_row":
+        return [_cuntz_krieger(rng, n, 3.0) for n in (24, 32, 40) for _ in range(4)]
+    if kind == "dense":
+        return [IntMatrix.from_rows(rng.integers(-9, 10, shape).tolist())
+                for shape in ((6, 6), (7, 7), (4, 6)) for _ in range(8)]
+    if kind == "zero_lines":
+        out = [IntMatrix.zeros(0, k) for k in range(4)] + [IntMatrix.zeros(k, 0) for k in range(4)]
+        out.append(IntMatrix.zeros(3, 4))
+        for rows, cols in ((4, 4), (3, 5), (5, 3)):
+            m = rng.integers(-6, 7, (rows, cols))
+            m[int(rng.integers(rows))] = 0
+            m[:, int(rng.integers(cols))] = 0
+            out.append(IntMatrix.from_rows(m.tolist()))
+        return out
+    assert kind == "boundary_maps"  # [q, -p] of the dimension-drop sweeps
+    return [IntMatrix.from_rows([[q, -p]]) for q in range(1, 21) for p in range(1, q + 1)]
+
+
+@pytest.mark.parametrize("kind", ["cuntz_krieger", "three_ones_per_row", "dense",
+                                  "zero_lines", "boundary_maps"])
+def test_smith_form_equals_dense_elimination_bitwise(kind):
+    # skipping zero entries must leave every entry of U, D, V and the cached
+    # diagonal exactly as the full-length elimination computes them
+    for m in _bitwise_inputs(kind):
+        u, d, v, diagonal = dense_smith_form(m)
+        assert IntMatrix(m.rows, m.cols, m.entries)._smith_diagonal == diagonal
+        snf = smith_normal_form(m)
+        assert (snf.u.entries, snf.d.entries, snf.v.entries) == (u, d, v)
+        assert (snf.u.rows, snf.d.rows, snf.d.cols, snf.v.cols) == (m.rows, m.rows, m.cols, m.cols)
+        assert m._smith_diagonal == diagonal
+
+
 class TestCokernel:
     def test_zero_endomorphism(self):
         assert cokernel(IntMatrix.zeros(1, 1)) == Z
@@ -263,3 +307,23 @@ def test_matrix_validation():
     assert IntMatrix.from_rows(np.array([[1, 2]])).entries == ((1, 2),)
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2]]) @ IntMatrix.from_rows([[1, 2]])
+    rows = [[(i * 40 + j) % 7 - 3 for j in range(40)] for i in range(40)]
+    assert IntMatrix(40, 40, tuple(map(tuple, rows))).rows == 40
+    # a bool deep in a 40 x 40 matrix is named
+    deep = [list(row) for row in rows]
+    deep[37][23] = True
+    with pytest.raises(TypeError, match=r"^entries must be Python ints, got True$"):
+        IntMatrix(40, 40, tuple(map(tuple, deep)))
+    # the checked constructor refuses numpy integers; from_rows converts them
+    named = re.escape(repr(np.int64(5)))  # np.int64(5) on numpy 2, 5 before
+    with pytest.raises(TypeError, match=f"^entries must be Python ints, got {named}$"):
+        IntMatrix(1, 2, ((1, np.int64(5)),))
+    m = IntMatrix.from_rows([[1, np.int64(5)]])
+    assert m.entries == ((1, 5),) and type(m.entries[0][1]) is int
+    # a ragged row after many good ones
+    ragged = [list(row) for row in rows]
+    ragged[39] = ragged[39][:39]
+    with pytest.raises(ValueError, match=r"^expected 40 columns, got 39$"):
+        IntMatrix(40, 40, tuple(map(tuple, ragged)))
+    with pytest.raises(ValueError, match=r"^expected 40 columns, got 39$"):
+        IntMatrix.from_rows(ragged)
