@@ -57,8 +57,11 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]], *, cols: int | None = None) -> "IntMatrix":
-        """Build from any nested iterable of integers; `cols` disambiguates empty rows."""
-        data = tuple(tuple(operator.index(x) for x in row) for row in rows)
+        """Build from any nested iterable of integers (no bools); `cols` disambiguates empty rows."""
+        data = tuple(tuple(row) for row in rows)
+        if any(isinstance(x, bool) for row in data for x in row):
+            raise TypeError("entries must be integers, not bools")
+        data = tuple(tuple(map(operator.index, row)) for row in data)
         ncols = cols if cols is not None else (len(data[0]) if data else 0)
         return cls(len(data), ncols, data)
 

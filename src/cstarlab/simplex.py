@@ -271,14 +271,20 @@ class SimplexTower:
 
     @classmethod
     def from_json(cls, text: str) -> "SimplexTower":
+        """Read the document `to_json` writes; one of another shape raises ValueError."""
         doc = json.loads(text)
+        if not (isinstance(doc, dict) and isinstance(doc.get("maps"), list)
+                and isinstance(doc.get("dims"), list) and all(type(d) is int for d in doc["dims"])):
+            raise ValueError("a tower document is an object with a list of maps and of int dims")
         maps = doc["maps"]
         for i, m in enumerate(maps):
-            if m["kind"] not in ("inclusion", "collapse"):
-                raise ValueError(f"unknown map kind {m['kind']!r} at step {i}")
-            if (m["kind"] == "collapse") != ("vector" in m):
+            if not isinstance(m, dict) or m.get("kind") not in ("inclusion", "collapse"):
+                raise ValueError(f"unknown map at step {i}: {m!r}")
+            if (m["kind"] == "collapse") != isinstance(m.get("vector"), list):
                 raise ValueError("collapse maps carry a vector, inclusions do not")
-        dims, offsets = _layout([int(d) for d in doc["dims"]])
+        if doc.get("seed") is not None and type(doc["seed"]) is not int:
+            raise ValueError(f"a tower seed is an int or null, got {doc['seed']!r}")
+        dims, offsets = _layout(doc["dims"])
         if len(maps) != len(dims) - 1:
             raise InvalidTrajectoryError("need exactly one map per step")
         lengths = np.diff(offsets)
@@ -342,6 +348,8 @@ def pushdown(tower: SimplexTower, level_j: int, point: np.ndarray, level_m: int)
 
 def barycentric_grid(dim: int, resolution: int = 8) -> np.ndarray:
     """All barycentric vectors on Delta_dim with coordinates in multiples of 1/resolution."""
+    if resolution < 1:
+        raise ValueError(f"grid resolution must be >= 1, got {resolution}")
     count = comb(resolution + dim, dim)
     if count > 500_000:
         raise ValueError(f"grid with {count} points is too large; use a lower level")

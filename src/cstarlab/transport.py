@@ -13,14 +13,14 @@ threshold is ever probed and the value is an entry of the matrix:
   small-n oracle kept for verification);
 * `unitary_distance` -- the orbit distance inf_u ||a - u b u*|| between
   certified bounds, with a unitary attaining the upper one: eigenbases
-  aligned along an optimal matching (one Dinic matching at delta) attain
-  the matching distance delta, which is exact for Hermitian (Weyl:
-  ascending spectra, no matching) and unitary (Bhatia-Davis) pairs; for
-  other normal pairs h and delta / 2.91 (Bhatia-Davis-Koosis) bound it
-  below, then, if that leaves a gap, Weyl's perturbation theorem on the
-  singular values of a - z over a fixed set of shifts z, and descent from
-  permutation and Haar starts, until none can beat the aligned value at
-  its recent rate, runs only when both leave a gap;
+  aligned along the matching `_bottleneck` ends with attain the matching
+  distance delta, which is exact for Hermitian (Weyl: ascending spectra,
+  no matching) and unitary (Bhatia-Davis) pairs; for other normal pairs h
+  and delta / 2.91 (Bhatia-Davis-Koosis) bound it below, then, if that
+  leaves a gap, Weyl's perturbation theorem on the singular values of
+  a - z over a fixed set of shifts z, and descent from permutation and
+  Haar starts, until none can beat the aligned value at its recent rate,
+  runs only when both leave a gap;
 * `wasserstein_inf` -- the bottleneck transport distance between discrete
   measures with rational weights, exact on atoms of integer mass w * D.
 
@@ -87,27 +87,6 @@ def operator_norm(m: np.ndarray) -> float:
 # bottleneck matching
 # ---------------------------------------------------------------------------
 
-def _flow(adj: np.ndarray) -> np.ndarray:
-    """The column matched to each row by a perfect matching of a square
-    boolean adjacency that has one.
-
-    Dinic's maximum flow with unit capacities (source -> rows -> columns ->
-    sink), which is deterministic in the adjacency, so one threshold graph
-    always gives one matching."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import maximum_flow
-
-    k, l = adj.shape
-    sink = k + l + 1
-    rows, cols = np.nonzero(adj)
-    tail = np.concatenate([np.zeros(k, dtype=np.intp), rows + 1, np.arange(k + 1, sink)])
-    head = np.concatenate([np.arange(1, k + 1), cols + k + 1, np.full(l, sink)])
-    network = csr_matrix((np.ones(tail.size, dtype=np.int32), (tail, head)),
-                         shape=(sink + 1, sink + 1))
-    result = maximum_flow(network, 0, sink, method="dinic")
-    return result.flow[1:k + 1, k + 1:sink].toarray().argmax(axis=1)
-
-
 def _hausdorff(dist: np.ndarray) -> float:
     """Hausdorff distance of two finite sets from their distance matrix:
     the largest row or column minimum.  It bounds the bottleneck value
@@ -164,11 +143,12 @@ def _minimax_labels(dist: np.ndarray, flow: np.ndarray, out: np.ndarray,
     return col, col_pred, row_pred
 
 
-def _bottleneck(dist: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> float:
+def _bottleneck(dist: np.ndarray, supply: np.ndarray,
+                demand: np.ndarray) -> tuple[float, np.ndarray]:
     """Smallest entry r of the k x l matrix `dist` such that
     {(i, j): dist_ij <= r} carries a flow of the integer supplies of the
     rows to the demands of the columns (equal totals), by minimax
-    augmenting paths (Gabow-Tarjan 1988).
+    augmenting paths (Gabow-Tarjan 1988), with that flow.
 
     Every row and column needs an edge, so r is at least the Hausdorff
     distance h, and the threshold t starts there.  First, in rounds, each
@@ -181,7 +161,9 @@ def _bottleneck(dist: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> flo
     at most t is augmented by its residual capacity: the least of the
     supply left at its first row, the demand left at its last column and
     the flow on its backward edges.  At the end the flow fits within t, so
-    t is r, an entry of `dist`, bitwise the value of a threshold search.
+    t is r, an entry of `dist`, bitwise the value of a threshold search;
+    for unit supplies and demands the flow is a permutation matrix, a
+    perfect matching inside {dist <= r}.
 
     Each augmentation ships at least one unit, so a matching (all supplies
     and demands one) takes at most n.  Paths found at one threshold are
@@ -224,7 +206,7 @@ def _bottleneck(dist: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> flo
             flow[rows[:-1], cols[1:]] -= units
             out[rows[-1]] -= units
             inn[sink] -= units
-    return t
+    return t, flow
 
 
 def _distance_matrix(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
@@ -261,7 +243,7 @@ def matching_distance(a, b) -> float:
     if not (av.imag.any() or bv.imag.any()):
         return _sorted_value(av, bv)
     ones = np.ones(av.size, dtype=np.intp)
-    return _bottleneck(_distance_matrix(av, bv), ones, ones)
+    return _bottleneck(_distance_matrix(av, bv), ones, ones)[0]
 
 
 @lru_cache(maxsize=None)
@@ -499,11 +481,12 @@ def unitary_distance(a, b, tol: float = 1e-8, *, seed: int = 0) -> UnitaryDistan
     Every pair starts from the aligned closed form: the eigenbases aligned
     along an optimal bottleneck matching of the spectra give u = va P vb*
     (P = 1 on the ascending `eigh` spectra of Hermitian pairs; otherwise
-    delta comes from `_bottleneck` and P from one Dinic matching of the
-    graph {dist <= delta}), and its value ||a - u b u*|| is an upper bound
-    that equals the matching distance delta up to rounding.  The lower
-    bound is delta itself for Hermitian (Weyl) and unitary (Bhatia-Davis)
-    pairs, where the orbit distance is delta.  For other normal pairs it
+    `_bottleneck` gives delta and the perfect matching inside
+    {dist <= delta} it ends with), and its value ||a - u b u*|| is an upper
+    bound that equals the matching distance delta up to rounding: any such
+    matching gives max_i |lam_i - mu_P(i)| = delta.  The lower bound is
+    delta itself for Hermitian (Weyl) and unitary (Bhatia-Davis) pairs,
+    where the orbit distance is delta.  For other normal pairs it
     is first max(h, delta / 2.91), with h the Hausdorff distance of the
     spectra (a unit eigenvector x of a with eigenvalue lam gives
     ||a - u b u*|| >= dist(lam, sigma(b))) and 2.91 the Bhatia-Davis-Koosis
@@ -531,8 +514,8 @@ def unitary_distance(a, b, tol: float = 1e-8, *, seed: int = 0) -> UnitaryDistan
         (la, va), (lb, vb) = na.eigenbasis(), nb.eigenbasis()
         dist = _distance_matrix(la, lb)
         ones = np.ones(na.n, dtype=np.intp)
-        delta = _bottleneck(dist, ones, ones)
-        vb = vb[:, _flow(dist <= delta)]
+        delta, flow = _bottleneck(dist, ones, ones)
+        vb = vb[:, flow.argmax(axis=1)]
     u = va @ vb.conj().T
     value = operator_norm(na.array - u @ nb.array @ u.conj().T)
     start_index, n_starts, iterations = 0, 1, 0
@@ -692,7 +675,7 @@ def wasserstein_inf(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
                             np.asarray(nu.atoms, dtype=complex))
     if not np.isfinite(dist).all():
         raise ValueError("atom distances must be finite: no NaN or infinite values")
-    return _bottleneck(dist, supply, demand)
+    return _bottleneck(dist, supply, demand)[0]
 
 
 def spectral_measure(a) -> DiscreteMeasure:

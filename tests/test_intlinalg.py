@@ -320,6 +320,10 @@ def test_matrix_validation():
         IntMatrix(1, 2, ((1, np.int64(5)),))
     m = IntMatrix.from_rows([[1, np.int64(5)]])
     assert m.entries == ((1, 5),) and type(m.entries[0][1]) is int
+    # from_rows refuses bools as the constructor does, wherever they sit
+    for bad in ([[True, 2]], [[1, 2], [3, False]], [(x for x in (1, True))]):
+        with pytest.raises(TypeError, match="bool"):
+            IntMatrix.from_rows(bad)
     # a ragged row after many good ones
     ragged = [list(row) for row in rows]
     ragged[39] = ragged[39][:39]

@@ -194,12 +194,15 @@ class TestFlatTowerAgainstReference:
         assert (2 * np.count_nonzero(same) > flat.size) == repeats
         maps = [TowerMap("collapse", tuple(v)) for v in vectors]
         maps += [TowerMap("inclusion"), TowerMap("inclusion")]
-        for seed in (None, 7, {"b": 1, "a": [2, 3]}):
+        for seed in (None, 7):
             text = json.dumps(tower_doc(dims, maps, None, seed), sort_keys=True)
             tower = SimplexTower.from_json(text)
             assert tower.maps == tuple(maps)
             assert tower.to_json() == text
             assert bits(tower.coords) == bits(flat)
+        # an archived seed is an int or null; a structured one is refused
+        with pytest.raises(ValueError, match="seed"):
+            SimplexTower.from_json(json.dumps(tower_doc(dims, maps, None, {"b": 1, "a": [2, 3]})))
 
     def test_constructor_checks_every_collapse(self):
         assert SimplexTower((0, 1, 0), [1.0]).maps == (TowerMap("collapse", (1.0,)),
@@ -228,6 +231,20 @@ class TestFlatTowerAgainstReference:
             doc["maps"][i] = bad
             with pytest.raises(ValueError):
                 SimplexTower.from_json(json.dumps(doc))
+        # documents that are no tower object, dims that are no JSON ints and
+        # seeds that are neither an int nor null
+        docs = [5, [], {"dims": [0, 1, 2, 1]}, {"maps": []}, {**good, "maps": 3},
+                {**good, "dims": "0121"}]
+        docs += [{**good, "maps": [5, *good["maps"][1:]]},
+                 {**good, "maps": [{"vector": [1.0]}, *good["maps"][1:]]},
+                 {**good, "maps": [{"kind": "collapse", "vector": 1.0}, *good["maps"][1:]]}]
+        docs += [{**good, "dims": dims} for dims in ([0, 1.9, 2, 1], [0, "1", 2, 1],
+                                                     [0, True, 2, 1], [0, 1, 2, None])]
+        docs += [{**good, "seed": seed} for seed in ("x", 1.5, True, [1])]
+        for doc in docs:
+            with pytest.raises(ValueError):
+                SimplexTower.from_json(json.dumps(doc))
+        assert SimplexTower.from_json(json.dumps({**good, "seed": None})).seed is None
 
     def test_truncate_is_a_prefix(self):
         dims = list(sample_trajectory(WalkParams.point(0.6), 120, 9).states)
@@ -393,6 +410,9 @@ class TestCoveringRadius:
     def test_grid_guard(self):
         with pytest.raises(ValueError):
             barycentric_grid(40)
+        for resolution in (0, -1):
+            with pytest.raises(ValueError, match="resolution"):
+                barycentric_grid(2, resolution)
 
 
 def test_is_barycentric_tolerance():

@@ -245,9 +245,9 @@ class TestBottleneckSearch:
                                                np.full(41, 31), np.full(31, 41))
         assert wasserstein_inf(mu, nu) == expected
 
-    def test_max_flow_only_for_the_orbit_permutation(self, matchings):
-        # scipy's maximum flow runs once per non-Hermitian orbit, at delta,
-        # and in no bottleneck value
+    def test_no_max_flow_in_any_entry_point(self, matchings):
+        # each bottleneck value and each orbit permutation comes from one
+        # `_bottleneck` call; scipy's maximum flow runs in none of them
         rng = stream(111)
         a, b = _complex_multisets(rng, 12, rounded=False)
         calls = {
@@ -264,9 +264,41 @@ class TestBottleneckSearch:
         for name, call in calls.items():
             matchings.clear()
             call()
-            seen[name] = matchings.count("max_flow")
-        assert seen == {"matching": 0, "winf": 0, "winf_pair": 0, "hermitian": 0,
-                        "unitary": 1, "normal": 1}
+            seen[name] = (matchings.count("bottleneck"), matchings.count("max_flow"))
+        assert seen == {"matching": (1, 0), "winf": (1, 0), "winf_pair": (1, 0),
+                        "hermitian": (0, 0), "unitary": (1, 0), "normal": (1, 0)}
+
+    def test_orbit_permutation_is_the_bottleneck_flow(self):
+        # on tied multisets several perfect matchings fit within delta; the
+        # flow `_bottleneck` ends with is one of them, and it aligns the orbit
+        rng = stream(112)
+        several = 0
+        for trial in range(40):
+            n = int(rng.integers(2, 7))
+            la, lb = _complex_multisets(rng, n, rounded=True)
+            dist = np.abs(la[:, None] - lb[None, :])
+            ones = np.ones(n, dtype=np.intp)
+            delta, flow = transport._bottleneck(dist, ones, ones)
+            assert set(np.unique(flow).tolist()) <= {0, 1}
+            assert (flow.sum(axis=0) == 1).all() and (flow.sum(axis=1) == 1).all()
+            assert dist[flow == 1].max() <= delta
+            fitting = dist[np.arange(n), transport._all_perms(n)].max(axis=1) <= delta
+            several += int(fitting.sum()) > 1
+
+            u, v = random_unitary(n, rng).array, random_unitary(n, rng).array
+            a, b = NormalMatrix((u * la) @ u.conj().T), NormalMatrix((v * lb) @ v.conj().T)
+            (ea, va), (eb, vb) = a.eigenbasis(), b.eigenbasis()
+            value, flow = transport._bottleneck(np.abs(ea[:, None] - eb[None, :]), ones, ones)
+            perm = flow.argmax(axis=1)
+            assert np.abs(ea - eb[perm]).max() == value
+            result = unitary_distance(a, b, seed=trial)
+            if result.start_index == 0:
+                aligned = va @ vb[:, perm].conj().T
+                assert np.array_equal(result.unitary, aligned)
+                assert result.value == pytest.approx(value, rel=1e-12, abs=1e-12)
+            else:
+                assert result.value < value
+        assert several >= 15
 
 
 class TestNormalMatrix:
