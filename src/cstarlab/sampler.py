@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .intlinalg import FGAbelianGroup
 from .rng import mix64
-from .simplex import MeasureScheme, build_tower, covering_radius
+from .simplex import MeasureScheme, _grid_radius, _window_images, build_tower
 from .walk import (
     Barrier,
     InvalidParamsError,
@@ -171,15 +171,15 @@ def _radius_samples(states: tuple[int, ...], scheme: MeasureScheme,
     Pushdowns are taken over a bounded lookahead window so the diagnostic
     stays cheap on long towers; the window size is DIAGNOSTIC_WINDOW levels.
     Only the prefix of the tower those windows read is built: collapses
-    draw in trajectory order, so it equals the full tower's truncation.
+    draw in trajectory order, so it equals the full tower's truncation, and
+    one sweep down it serves both levels.
     """
     last = {d: level for level, d in enumerate(states) if d in (1, 2)}
     if not last:
         return {}
     tower = build_tower(states[: max(last.values()) + DIAGNOSTIC_WINDOW + 1], scheme, seed)
-    return {target: covering_radius(tower.truncate(last[target] + DIAGNOSTIC_WINDOW),
-                                    last[target])
-            for target in (1, 2) if target in last}
+    images = _window_images(tower, {m: m + DIAGNOSTIC_WINDOW for m in last.values()})
+    return {d: _grid_radius(images[m], d) for d, m in sorted(last.items())}
 
 
 def sample_algebra(params: WalkParams, scheme: MeasureScheme, horizon: int,

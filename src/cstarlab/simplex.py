@@ -19,7 +19,8 @@ is empty for an inclusion.  One constructor lays out, copies, checks and
 freezes every tower: `build_tower` hands it the buffer its draws were
 written into, `truncate` returns a checked copy, and no object is kept per
 step.  The archive, pushdown and covering-radius code read slices of
-`coords`; `maps` presents the same data as `TowerMap` objects on demand.
+`coords`, the last in one fold down the tower that serves several levels;
+`maps` presents the same data as `TowerMap` objects on demand.
 
 Distances between barycentric vectors use the halved l1 metric, so two
 vertices are at distance exactly 1.
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import json
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
@@ -192,7 +194,8 @@ class SimplexTower:
     step order: the vector of step i is coords[offsets[i]:offsets[i + 1]],
     empty for an inclusion.  The constructor, the one path to a tower,
     derives `offsets` from `dims`, copies `coords`, checks every collapse
-    vector is barycentric to BARYCENTRIC_TOL and makes both read-only.
+    vector is barycentric to BARYCENTRIC_TOL and makes both read-only, and
+    stores the seed as None or an int (operator.index of it, bools refused).
     `maps` presents the same data as TowerMap objects on first access.
     """
 
@@ -206,6 +209,10 @@ class SimplexTower:
         dims, offsets = _layout(self.dims)
         coords = np.array(self.coords, dtype=float)
         _check_coords(coords, offsets)
+        if self.seed is not None:
+            if isinstance(self.seed, bool) or not hasattr(type(self.seed), "__index__"):
+                raise ValueError(f"a tower seed is an int or None, got {self.seed!r}")
+            object.__setattr__(self, "seed", operator.index(self.seed))
         coords.flags.writeable = False
         offsets.flags.writeable = False
         object.__setattr__(self, "dims", dims)
@@ -282,8 +289,6 @@ class SimplexTower:
                 raise ValueError(f"unknown map at step {i}: {m!r}")
             if (m["kind"] == "collapse") != isinstance(m.get("vector"), list):
                 raise ValueError("collapse maps carry a vector, inclusions do not")
-        if doc.get("seed") is not None and type(doc["seed"]) is not int:
-            raise ValueError(f"a tower seed is an int or null, got {doc['seed']!r}")
         dims, offsets = _layout(doc["dims"])
         if len(maps) != len(dims) - 1:
             raise InvalidTrajectoryError("need exactly one map per step")
@@ -296,8 +301,9 @@ class SimplexTower:
                 raise InvalidTrajectoryError(f"map {i} should be a {expected}")
             raise InvalidTrajectoryError(
                 f"collapse vector at step {i} must have length {lengths[i]}")
-        coords = np.fromiter(chain.from_iterable(m["vector"] for m in maps if "vector" in m),
-                             dtype=float, count=int(offsets[-1]))
+        coords = list(chain.from_iterable(m["vector"] for m in maps if "vector" in m))
+        if not set(map(type, coords)) <= {int, float}:
+            raise ValueError("collapse coordinates must be JSON numbers")
         scheme = MeasureScheme(doc["scheme"]) if doc.get("scheme") else None
         return cls(dims, coords, scheme, doc.get("seed"))
 
@@ -360,39 +366,47 @@ def barycentric_grid(dim: int, resolution: int = 8) -> np.ndarray:
     return (np.diff(bars, axis=1, prepend=-1, append=resolution + dim) - 1) / resolution
 
 
-def top_vertex_images(tower: SimplexTower, level_m: int) -> np.ndarray:
-    """Images at level m of the top vertices of every level above m.
+def _window_images(tower: SimplexTower, windows: dict[int, int]) -> dict[int, np.ndarray]:
+    """Images at each level m of the top vertices of levels windows[m] .. m+1.
 
-    Processed incrementally from the top of the tower down in one
-    preallocated (levels x width) buffer: row r holds the image of level
-    top - r's top vertex, added when the sweep reaches that level.  A
-    collapse folds the batch's last column onto the base and clears it; an
-    inclusion appends a zero column, which the cleared buffer already holds.
+    One fold down from the highest window end (the top, for windows past it)
+    in one (levels x width) buffer: row r, the image of level high - r's top
+    vertex, is added as the sweep reaches that level.  A collapse folds the
+    live rows' last column onto the base and clears it; an inclusion appends
+    the zero column the cleared buffer holds.  A level's rows are copied out
+    as the sweep passes it; rows above every window still to read are no
+    longer added or folded.  Rows fold alone, so images ignore other levels.
     """
-    if not (0 <= level_m <= tower.top_level):
-        raise DimensionMismatchError(f"level {level_m} outside the tower")
+    if min(windows) < 0 or max(windows) > tower.top_level:
+        raise DimensionMismatchError(f"levels {sorted(windows)} reach outside the tower")
+    ends = {m: min(w, tower.top_level) for m, w in windows.items()}
     dims, off, coords = tower.dims, tower.offsets.tolist(), tower.coords
-    buf = np.zeros((tower.top_level - level_m, max(dims[level_m:]) + 1))
-    for r, lev in enumerate(range(tower.top_level, level_m, -1)):
+    low, high = min(ends), max(ends.values())
+    buf = np.zeros((high - low, max(dims[low: high + 1]) + 1))
+    images, live = {}, 0
+    for r, lev in enumerate(range(high, low - 1, -1)):
+        if lev in ends:
+            images[lev] = buf[high - ends[lev]: r, : dims[lev] + 1].copy()
+            live = high - max((w for m, w in ends.items() if m < lev), default=low - 1)
+        if r < live:
+            continue
         last = dims[lev]
         buf[r, last] = 1.0
         a, b = off[lev - 1], off[lev]
         if b > a:
-            block = buf[: r + 1]
+            block = buf[live: r + 1]
             block[:, :last] += block[:, last, None] * coords[a:b]
             block[:, last] = 0.0
-    return buf[:, : dims[level_m] + 1].copy()
+    return images
 
 
-def covering_radius(tower: SimplexTower, level_m: int) -> float:
-    """How far the 1/8-grid of the level-m simplex can be from the pushed-down set.
+def top_vertex_images(tower: SimplexTower, level_m: int) -> np.ndarray:
+    """Images at level m of the top vertices of every level above m, top first."""
+    return _window_images(tower, {level_m: tower.top_level})[level_m]
 
-    The point set is the top-vertex images of all levels above m; when there
-    are none (m is the top level) the vertex set of the level-m simplex is
-    used instead, making the value the covering radius of the bare simplex.
-    """
-    dim = tower.dims[level_m]
-    pts = top_vertex_images(tower, level_m)
+
+def _grid_radius(pts: np.ndarray, dim: int) -> float:
+    """How far the 1/8-grid of Delta_dim can be from `pts` (its vertices if none)."""
     if pts.shape[0] == 0:
         pts = np.eye(dim + 1)
     grid = barycentric_grid(dim)
@@ -403,3 +417,9 @@ def covering_radius(tower: SimplexTower, level_m: int) -> float:
         dists = 0.5 * np.abs(block[:, None, :] - pts[None, :, :]).sum(axis=2)
         radius = max(radius, float(dists.min(axis=1).max()))
     return radius
+
+
+def covering_radius(tower: SimplexTower, level_m: int) -> float:
+    """How far the 1/8-grid of the level-m simplex can be from the top-vertex
+    images of all levels above m (from its vertices, when m is the top level)."""
+    return _grid_radius(top_vertex_images(tower, level_m), tower.dims[level_m])

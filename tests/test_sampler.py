@@ -20,7 +20,7 @@ from cstarlab.sampler import (
     sample_algebra,
     wilson_interval,
 )
-from cstarlab.simplex import MeasureScheme, build_tower, covering_radius
+from cstarlab.simplex import MeasureScheme, SimplexTower, build_tower, covering_radius
 from cstarlab.walk import (
     Barrier,
     InvalidParamsError,
@@ -163,6 +163,28 @@ class TestSampleAlgebra:
         # walks that never reach dimension 1 or 2, and walks whose radii
         # read only a prefix of the tower, are both covered
         assert min(seen.values()) > 0
+
+    def test_radius_samples_sweep_one_tower_once(self, monkeypatch):
+        # both radii come from one build and one sweep, with no truncated copy
+        calls = {"build": 0, "sweep": 0, "truncate": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(sampler, "build_tower", counting("build", build_tower))
+        monkeypatch.setattr(sampler, "_window_images", counting("sweep", sampler._window_images))
+        monkeypatch.setattr(SimplexTower, "truncate", counting("truncate", SimplexTower.truncate))
+        for barrier, p in [(Barrier.REFLECTING, 0.5), (Barrier.REFLECTING, 0.6),
+                           (Barrier.ABSORBING, 0.55)]:
+            for scheme in MeasureScheme:
+                calls.update(build=0, sweep=0)
+                _, diag = sample_algebra(WalkParams.point(p, barrier=barrier, start=3),
+                                         scheme, 1500, 2)
+                assert set(diag.covering_radius_samples) == {1, 2}
+                assert calls == {"build": 1, "sweep": 1, "truncate": 0}
 
     def test_empirical_sup_histogram(self):
         # absorbing mode: descriptor sups across seeds follow the exact law

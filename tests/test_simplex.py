@@ -12,6 +12,7 @@ from cstarlab.simplex import (
     MeasureScheme,
     SimplexTower,
     TowerMap,
+    _window_images,
     barycentric_grid,
     build_tower,
     covering_radius,
@@ -218,6 +219,17 @@ class TestFlatTowerAgainstReference:
         with pytest.raises(ValueError):
             SimplexTower((0, 1, 2), [1.0, -0.1, 1.1])
 
+    def test_constructor_stores_int_seeds(self):
+        # an index-like seed is stored as a Python int, so its archive is
+        # written and read back; bools and every other value are refused
+        for seed in (5, np.int64(5), np.uint64(5)):
+            tower = build_tower([0, 1, 2, 1], MeasureScheme.LEBESGUE_FACES, seed)
+            assert type(tower.seed) is int and tower.seed == 5
+            assert SimplexTower.from_json(tower.to_json()) == tower
+        for seed in (True, np.True_, {"a": 1}, "5", 5.0, [5]):
+            with pytest.raises(ValueError, match="seed"):
+                SimplexTower((0, 1, 0), [1.0], seed=seed)
+
     def test_from_json_rejects_malformed_maps(self):
         good = tower_doc([0, 1, 2, 1], [TowerMap("collapse", (1.0,)),
                                         TowerMap("collapse", (0.5, 0.5)),
@@ -226,7 +238,9 @@ class TestFlatTowerAgainstReference:
         for i, bad in [(1, {"kind": "inclusion"}), (2, {"kind": "collapse", "vector": [1.0]}),
                        (1, {"kind": "collapse", "vector": [1.0]}),
                        (1, {"kind": "collapse", "vector": [0.7, 0.7]}),
-                       (0, {"kind": "twist"}), (2, {"kind": "inclusion", "vector": []})]:
+                       (0, {"kind": "twist"}), (2, {"kind": "inclusion", "vector": []}),
+                       (0, {"kind": "collapse", "vector": ["1.0"]}),
+                       (0, {"kind": "collapse", "vector": [True]})]:
             doc = json.loads(json.dumps(good))
             doc["maps"][i] = bad
             with pytest.raises(ValueError):
@@ -290,6 +304,28 @@ class TestFlatTowerAgainstReference:
                 want = reference_top_vertex_images(dims, ref_maps, level)
                 assert got.shape == want.shape
                 assert bits(got) == bits(want)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_one_sweep_reads_each_window_as_its_truncation(self, scheme):
+        # each level read in one sweep gets bitwise the images of its own
+        # truncated tower, whichever levels share the sweep: windows past
+        # the top, the top level itself, nested windows and a lower window
+        # ending below a higher level, after which rows stop being folded
+        for k, dims in enumerate(trajectories()):
+            tower = build_tower(dims, scheme, seed=500 + k)
+            top = tower.top_level
+            for windows in ({top: top + 3, 0: top // 2},
+                            {0: top, top // 3: top // 3 + 7, top // 2: top + 10},
+                            {0: min(5, top), top // 2: top // 2 + 1},
+                            {0: top // 2 + 3, top // 2: top}):
+                got = _window_images(tower, windows)
+                assert sorted(got) == sorted(windows)
+                for m, w in windows.items():
+                    want = top_vertex_images(tower.truncate(w), m)
+                    assert got[m].shape == want.shape
+                    assert bits(got[m]) == bits(want)
+            with pytest.raises(DimensionMismatchError):
+                _window_images(tower, {0: top, top + 1: top + 1})
 
 
 class TestPushdown:
