@@ -11,13 +11,15 @@ ktheory   six-term computations for the shift algebra and dimension drops
 summary   human-readable aggregates of a previously written report
 
 Every subcommand but summary takes `--config FILE`, a JSON object keyed by
-its flag names (`max_size` for `--max-size`); explicit flags win.  Both are
-checked against one key table, so a config value must have its flag's JSON
-type: a string number (`"0.5"`), a bool, a fractional seed or count, a
-format other than json or csv, or an `initial` state that is not an integer
-exits 2.  Float values are recorded as floats (`1` as `1.0`).  `--seed`,
-`--output` and `--format` are accepted everywhere (cuntz and ktheory ignore
-`--seed`); sample and simplex write JSON only and refuse `--format csv`.
+its configuration keys, and one flag per key (`--max-size` for `max_size`);
+explicit flags win.  Both are checked against one key table, so a config
+value must have its flag's JSON type: a string number (`"0.5"`), a bool, a
+fractional seed or count, a format other than json or csv, or an `initial`
+state that is not an integer exits 2, and so does a `start` given beside an
+`initial` distribution.  Float values are recorded as floats (`1` as
+`1.0`).  Every subcommand takes `--output` and `--format`; all but cuntz
+and ktheory, which draw nothing at random, take `--seed`.  sample and
+simplex write JSON only and refuse `--format csv`.
 
 Reports start with a single timestamp header line prefixed '#'; everything
 after it is a pure function of the resolved configuration, so re-running
@@ -174,8 +176,10 @@ def _render(config: dict, records: list, columns: tuple | None) -> str:
 
 
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """Resolved and checked configuration: defaults < config file < explicit flags."""
-    merged = dict(defaults)
+    """Resolved and checked configuration: defaults < config file < explicit
+    flags.  A start given beside a non-null initial distribution, by flag or
+    file, would be ignored, so it is refused."""
+    given = {}
     if args.config:
         try:
             with open(args.config) as handle:
@@ -187,14 +191,14 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(file_cfg)
-    for key in defaults:
-        flag_val = getattr(args, key)
-        if flag_val is not None:
-            merged[key] = flag_val
+        given.update(file_cfg)
+    given.update((key, getattr(args, key)) for key in defaults if getattr(args, key) is not None)
     # a key whose default is None (p, q, initial) may stay unset
-    return {key: value if value is None and defaults[key] is None else _checked(key, value)
-            for key, value in merged.items()}
+    cfg = {key: value if value is None and defaults[key] is None else _checked(key, value)
+           for key, value in {**defaults, **given}.items()}
+    if "start" in given and cfg.get("initial") is not None:
+        raise ConfigError("start and initial both set the initial state; give one of them")
+    return cfg
 
 
 def _walk_params(cfg: dict) -> tuple[WalkParams, dict]:
@@ -303,30 +307,30 @@ def _cmd_ktheory(cfg: dict):
 _WALK = {"p": None, "q": None, "barrier": "reflecting", "start": 0, "initial": None}
 
 #: name -> (handler, help, default configuration, CSV columns or None for
-#: JSON-lines only); the default keys are the subcommand's flags and
-#: config-file keys
+#: JSON-lines only); the default keys are the subcommand's config-file keys
+#: and, in order, its flags after --config
 _COMMANDS = {
     "walk": (_cmd_walk, "simulate trajectories",
-             {**_WALK, "length": 100, "trials": 1, "seed": 0,
-              "output": "walk_report.jsonl", "format": "json"},
+             {"seed": 0, "output": "walk_report.jsonl", "format": "json", **_WALK,
+              "length": 100, "trials": 1},
              ("trial", "start", "hit_zero_step", "max_state", "final_state")),
     "sample": (_cmd_sample, "estimate the return-to-zero proxy",
-               {**_WALK, "scheme": "barycenter", "trials": 1000, "horizon": 1000, "seed": 0,
-                "output": "sample_report.jsonl", "format": "json"},
+               {"seed": 0, "output": "sample_report.jsonl", "format": "json", **_WALK,
+                "scheme": "barycenter", "trials": 1000, "horizon": 1000},
                None),
     "simplex": (_cmd_simplex, "build and archive a collapse tower",
-                {**_WALK, "scheme": "barycenter", "horizon": 100, "seed": 0,
-                 "output": "tower.jsonl", "format": "json"},
+                {"seed": 0, "output": "tower.jsonl", "format": "json", **_WALK,
+                 "scheme": "barycenter", "horizon": 100},
                 None),
     "weyl": (_cmd_weyl, "matching vs orbit distance table",
-             {"n": 4, "ensemble": "hermitian", "tol": 1e-8, "trials": 100, "seed": 0,
-              "output": "weyl_report.csv", "format": "csv"},
+             {"seed": 0, "output": "weyl_report.csv", "format": "csv", "n": 4,
+              "ensemble": "hermitian", "tol": 1e-8, "trials": 100},
              ("trial", "delta", "d_u", "lower", "gap", "converged")),
     "cuntz": (_cmd_cuntz, "K1-triviality / unit checks over block sizes",
-              {"max_size": 10, "output": "cuntz_report.jsonl", "format": "json"},
+              {"output": "cuntz_report.jsonl", "format": "json", "max_size": 10},
               ("p", "q", "gcd", "k1_trivial", "unit_check")),
     "ktheory": (_cmd_ktheory, "six-term computations",
-                {"max_size": 12, "output": "ktheory_report.jsonl", "format": "json"},
+                {"output": "ktheory_report.jsonl", "format": "json", "max_size": 12},
                 ("model", "p", "q", "k0", "k1")),
 }
 
@@ -392,8 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (_, help_text, defaults, _) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="JSON config file; explicit flags win")
-        # --seed is accepted everywhere, also where no configuration uses it
-        for key in dict.fromkeys(["seed", "output", "format", *defaults]):
+        for key in defaults:
             sp.add_argument("--" + key.replace("_", "-"), dest=key, **_flag_keywords(_KEYS[key]))
     sp = sub.add_parser("summary", help="summarise a report file")
     sp.add_argument("path")

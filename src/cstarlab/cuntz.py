@@ -25,15 +25,13 @@ the compact element of the same value.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-import numpy as np
-
 from .intlinalg import IntMatrix, cokernel
+from .rng import _integer
 
 
 class DimensionMismatchError(ValueError):
@@ -332,20 +330,14 @@ def add_elements(e1: CuNccwElement, e2: CuNccwElement) -> CuNccwElement:
 def dimension_drop_sizes(p: int, q: int) -> tuple[int, int]:
     """The block sizes (p, q) of a dimension-drop interval, as Python ints.
 
-    Each must be an integer >= 1: a Python int or a numpy integer (any
-    value `operator.index` accepts), never a Python or numpy bool (some
-    numpy versions let `operator.index` read one as 0 or 1).  Anything
-    else raises the same ValueError.  Every dimension-drop entry point
-    checks its sizes here.
+    Each must be an integer >= 1 by the integer rule of `rng` (Python and
+    numpy integers, never a bool).  Anything else raises the same
+    ValueError.  Every dimension-drop entry point checks its sizes here.
     """
-    sizes = (0, 0)
-    if not isinstance(p, (bool, np.bool_)) and not isinstance(q, (bool, np.bool_)):
-        try:
-            sizes = (operator.index(p), operator.index(q))
-        except TypeError:
-            pass
+    message, got = "block sizes must be integers >= 1", f"p={p!r}, q={q!r}"
+    sizes = (_integer(p, message, got), _integer(q, message, got))
     if min(sizes) < 1:
-        raise ValueError(f"block sizes must be integers >= 1, got p={p!r}, q={q!r}")
+        raise ValueError(f"{message}, got {got}")
     return sizes
 
 
@@ -428,7 +420,7 @@ class CuJiangSu:
 
     def __post_init__(self):
         if self.kind == "compact":
-            if not isinstance(self.value, int) or self.value < 0:
+            if type(self.value) is not int or self.value < 0:
                 raise ValueError("compact classes carry an integer >= 0")
         elif self.kind == "soft":
             if not self.value > 0:

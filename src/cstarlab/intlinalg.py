@@ -44,8 +44,8 @@ class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
+        if not (type(self.rows) is type(self.cols) is int and self.rows >= 0 <= self.cols):
+            raise ValueError(f"matrix dimensions must be ints >= 0, got {self.rows!r} x {self.cols!r}")
         if len(self.entries) != self.rows:
             raise ValueError(f"expected {self.rows} rows, got {len(self.entries)}")
         for row in self.entries:
@@ -121,10 +121,10 @@ class FGAbelianGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.free_rank < 0:
-            raise ValueError("free rank must be nonnegative")
+        if type(self.free_rank) is not int or self.free_rank < 0:
+            raise ValueError(f"free rank must be an int >= 0, got {self.free_rank!r}")
         for d in self.torsion:
-            if not isinstance(d, int) or d < 2:
+            if type(d) is not int or d < 2:
                 raise ValueError(f"torsion orders must be integers >= 2, got {d!r}")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a != 0:

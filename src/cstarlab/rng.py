@@ -17,11 +17,17 @@ starts from exactly the state `Philox(key=k)` gives (key `[k, 0]`, counter
 0, empty buffer), and no entropy is drawn.  Streams are keyed, not
 spawned: `spawn` on a stream raises TypeError, and a sub-stream is
 another (seed, index) pair.
+
+Keys are integers: `mix64` reads its seed and index by `_integer`, the
+package's one integer rule, which takes Python and numpy integers and
+refuses floats, strings and bools.  No key is truncated: `stream(2.9)` is
+an error, not `stream(2)`.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -33,9 +39,25 @@ _COUNTER0 = np.zeros(4, np.uint64)
 _COUNTER0.flags.writeable = False
 
 
+class NotAnIntegerError(TypeError, ValueError):
+    """A value that must be an integer is not one; both a TypeError and a
+    ValueError, so each caller of `_integer` keeps its documented exception."""
+
+
+def _integer(value, message: str = "stream keys must be integers", got: str | None = None) -> int:
+    """`value` as a Python int by `operator.index`, bools refused (some numpy
+    versions let `operator.index` read a numpy bool as 0 or 1); anything else
+    raises NotAnIntegerError(f"{message}, got {got or repr(value)}")."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, (bool, np.bool_)) and hasattr(type(value), "__index__"):
+        return operator.index(value)
+    raise NotAnIntegerError(f"{message}, got {got or repr(value)}")
+
+
 def mix64(seed: int, index: int = 0) -> int:
     """SplitMix64 finaliser of seed advanced by (index + 1) gammas."""
-    z = (int(seed) + (int(index) + 1) * GOLDEN_GAMMA) & _MASK64
+    z = (_integer(seed) + (_integer(index) + 1) * GOLDEN_GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import enum
 import json
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
@@ -39,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rng import stream
+from .rng import _integer, stream
 from .walk import Trajectory
 
 BARYCENTRIC_TOL = 1e-12
@@ -88,6 +87,8 @@ def face_top_vertex(n: int, visit_index: int) -> int:
     The base of that collapse has vertices e_0 .. e_{n-1}; successive visits
     cycle through the faces with top vertex n-1, n-2, ..., 0 and wrap.
     """
+    n = _integer(n, "dimensions must be integers")
+    visit_index = _integer(visit_index, "visit indices must be integers")
     if n < 1:
         raise ValueError("collapses exist only into dimension >= 1")
     if visit_index < 0:
@@ -195,7 +196,7 @@ class SimplexTower:
     empty for an inclusion.  The constructor, the one path to a tower,
     derives `offsets` from `dims`, copies `coords`, checks every collapse
     vector is barycentric to BARYCENTRIC_TOL and makes both read-only, and
-    stores the seed as None or an int (operator.index of it, bools refused).
+    stores the seed as None or an int (by the integer rule of `rng`).
     `maps` presents the same data as TowerMap objects on first access.
     """
 
@@ -207,12 +208,13 @@ class SimplexTower:
 
     def __post_init__(self):
         dims, offsets = _layout(self.dims)
-        coords = np.array(self.coords, dtype=float)
+        try:
+            coords = np.array(self.coords, dtype=float)
+        except OverflowError:
+            raise ValueError("collapse coordinates must be finite floats") from None
         _check_coords(coords, offsets)
         if self.seed is not None:
-            if isinstance(self.seed, bool) or not hasattr(type(self.seed), "__index__"):
-                raise ValueError(f"a tower seed is an int or None, got {self.seed!r}")
-            object.__setattr__(self, "seed", operator.index(self.seed))
+            object.__setattr__(self, "seed", _integer(self.seed, "a tower seed is an int or None"))
         coords.flags.writeable = False
         offsets.flags.writeable = False
         object.__setattr__(self, "dims", dims)
@@ -244,6 +246,7 @@ class SimplexTower:
                      for a, b in zip(off, off[1:]))
 
     def truncate(self, last_level: int) -> "SimplexTower":
+        last_level = _integer(last_level, "tower levels must be integers")
         if last_level < 0:
             raise InvalidTrajectoryError("a tower needs at least one level")
         last_level = min(last_level, self.top_level)
@@ -332,6 +335,8 @@ def build_tower(trajectory: Trajectory | Sequence[int], scheme: MeasureScheme,
 
 def pushdown(tower: SimplexTower, level_j: int, point: np.ndarray, level_m: int) -> np.ndarray:
     """Image of a level-j point at level m <= j under the composed tower maps."""
+    level_j = _integer(level_j, "tower levels must be integers")
+    level_m = _integer(level_m, "tower levels must be integers")
     if not (0 <= level_m <= level_j <= tower.top_level):
         raise DimensionMismatchError(
             f"need 0 <= m <= j <= {tower.top_level}, got m={level_m}, j={level_j}")
@@ -402,6 +407,7 @@ def _window_images(tower: SimplexTower, windows: dict[int, int]) -> dict[int, np
 
 def top_vertex_images(tower: SimplexTower, level_m: int) -> np.ndarray:
     """Images at level m of the top vertices of every level above m, top first."""
+    level_m = _integer(level_m, "tower levels must be integers")
     return _window_images(tower, {level_m: tower.top_level})[level_m]
 
 

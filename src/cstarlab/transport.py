@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rng import stream
+from .rng import _integer, stream
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-12
@@ -501,6 +501,7 @@ def unitary_distance(a, b, tol: float = 1e-8, *, seed: int = 0) -> UnitaryDistan
     aligned value at its recent rate; its value replaces the aligned one
     only when lower.  A value below the lower bound beyond rounding raises.
     """
+    seed = _integer(seed)
     na, nb = _as_normal(a), _as_normal(b)
     if na.n != nb.n:
         raise SizeMismatchError(f"matrix sizes differ: {na.n} vs {nb.n}")

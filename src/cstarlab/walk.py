@@ -32,7 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .rng import stream
+from .rng import _integer, stream
 
 _PROB_TOL = 1e-12
 
@@ -52,13 +52,6 @@ def _count(name: str, value, least: int) -> int:
         if value >= least:
             return value
     raise InvalidParamsError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
-def _state(value) -> int:
-    """A walk state as an int: what operator.index accepts, bools aside."""
-    if isinstance(value, bool):
-        raise TypeError(f"states must be integers, got {value!r}")
-    return operator.index(value)
 
 
 class Barrier(enum.Enum):
@@ -97,7 +90,7 @@ class WalkParams:
         if not isinstance(self.barrier, Barrier):
             raise InvalidParamsError(f"barrier must be a Barrier, got {self.barrier!r}")
         items = self.initial.items() if isinstance(self.initial, Mapping) else self.initial
-        pairs = tuple(sorted((_state(s), float(w)) for s, w in items))
+        pairs = tuple(sorted((_integer(s, "states must be integers"), float(w)) for s, w in items))
         if not pairs:
             raise InvalidParamsError("initial distribution must have nonempty support")
         for state, weight in pairs:

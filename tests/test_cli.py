@@ -49,7 +49,8 @@ class TestDeterminism:
     ])
     def test_reports_byte_identical_modulo_timestamp(self, tmp_path, argv_stub):
         out = str(tmp_path / "report.out")
-        argv = argv_stub + ["--seed", "11", "--output", out]
+        seed = [] if argv_stub[0] in ("cuntz", "ktheory") else ["--seed", "11"]
+        argv = argv_stub + seed + ["--output", out]
         assert run(argv) == 0
         first = strip_header(out)
         assert run(argv) == 0
@@ -174,7 +175,7 @@ class TestValidation:
          "trajectory too short to build a tower (absorbed immediately)"),
     ])
     def test_invalid_config_error_record(self, tmp_path, monkeypatch, capsys, argv, error):
-        # cuntz accepts --seed as a flag and ignores it, but not as a config key
+        # cuntz has no seed, as a flag or as a config key
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cfg.json").write_text(json.dumps({"max_size": 3, "seed": 1}))
         assert run(argv + ["--output", "r.out"]) == 2
@@ -220,6 +221,21 @@ class TestValidation:
         assert run(["walk", "--p", "0.5", "--config", "cfg.json", "--output", "r.out"] + argv) == 2
         assert capsys.readouterr().err == json.dumps(
             {"error": "initial weights must be nonnegative, got nan"}) + "\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    # a start beside an initial distribution was recorded but never used
+    @pytest.mark.parametrize("argv, content", [
+        (["--start", "3", "--initial", "[[1, 1.0]]"], {}),
+        (["--start", "0"], {"initial": [[1, 1.0]]}),
+        (["--initial", "[[1, 1.0]]"], {"start": 3}),
+        ([], {"start": 3, "initial": [[1, 1.0]]}),
+    ])
+    def test_start_beside_initial_exits_2(self, tmp_path, monkeypatch, capsys, argv, content):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(content))
+        assert run(["walk", "--p", "0.5", "--config", "cfg.json", "--output", "r.out"] + argv) == 2
+        assert capsys.readouterr().err == json.dumps(
+            {"error": "start and initial both set the initial state; give one of them"}) + "\n"
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
     def test_unwritable_output_exits_2_without_temp_file(self, tmp_path, capsys):
@@ -360,6 +376,7 @@ class TestParserSurface:
     # the parser that listed argparse keywords per flag by hand
     COMMON = [("--config", "config", None, None), ("--seed", "seed", int, None),
               ("--output", "output", None, None), ("--format", "format", None, ["json", "csv"])]
+    UNSEEDED = [COMMON[0], *COMMON[2:]]
     WALK = [("--p", "p", float, None), ("--q", "q", float, None),
             ("--barrier", "barrier", None, ["absorbing", "reflecting"]),
             ("--start", "start", int, None), ("--initial", "initial", None, None)]
@@ -373,8 +390,8 @@ class TestParserSurface:
         "weyl": COMMON + [("--n", "n", int, None),
                           ("--ensemble", "ensemble", None, ["hermitian", "normal", "unitary"]),
                           ("--tol", "tol", float, None), ("--trials", "trials", int, None)],
-        "cuntz": COMMON + [("--max-size", "max_size", int, None)],
-        "ktheory": COMMON + [("--max-size", "max_size", int, None)],
+        "cuntz": UNSEEDED + [("--max-size", "max_size", int, None)],
+        "ktheory": UNSEEDED + [("--max-size", "max_size", int, None)],
         "summary": [(None, "path", None, None)],
     }
 
@@ -387,6 +404,14 @@ class TestParserSurface:
                         None if a.choices is None else list(a.choices))
                        for a in subparser._actions if not isinstance(a, argparse._HelpAction)]
             assert surface == self.SURFACE[name], name
+
+    @pytest.mark.parametrize("command", ["cuntz", "ktheory"])
+    def test_unseeded_commands_refuse_seed(self, tmp_path, capsys, command):
+        # their reports draw nothing at random, so a seed would be ignored
+        out = tmp_path / "r.jsonl"
+        assert run([command, "--seed", "1", "--output", str(out)]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestParserReuse:

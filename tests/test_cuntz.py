@@ -406,6 +406,9 @@ class TestCuJiangSu:
             CuJiangSu.soft(0)
         with pytest.raises(ValueError):
             CuJiangSu.compact(-1)
+        for k in (True, 1.0, np.int64(1)):  # compact(True) once printed [True]
+            with pytest.raises(ValueError, match="compact classes carry an integer"):
+                CuJiangSu.compact(k)
         with pytest.raises(ValueError):
             CuJiangSu("weird", 1)
 

@@ -273,6 +273,13 @@ class TestFGAbelianGroup:
         with pytest.raises(ValueError):
             FGAbelianGroup(0, (1,))
 
+    @pytest.mark.parametrize("free_rank, torsion", [(1.5, ()), (True, ()), (np.int64(1), ()),
+                                                    (0, (2.0,)), (0, (np.int64(2),))])
+    def test_invariants_are_python_ints(self, free_rank, torsion):
+        # FGAbelianGroup(1.5) once printed Z^1.5, and FGAbelianGroup(True) Z
+        with pytest.raises(ValueError):
+            FGAbelianGroup(free_rank, torsion)
+
     def test_invariant_factors_renormalise(self):
         assert invariant_factors([2, 3]) == (6,)
         assert invariant_factors([2, 2]) == (2, 2)
@@ -324,6 +331,11 @@ def test_matrix_validation():
     for bad in ([[True, 2]], [[1, 2], [3, False]], [(x for x in (1, True))]):
         with pytest.raises(TypeError, match="bool"):
             IntMatrix.from_rows(bad)
+    # dimensions are Python ints, as entries are
+    for build in (lambda: IntMatrix(1.0, 1, ((2,),)), lambda: IntMatrix(1, True, ((2,),)),
+                  lambda: IntMatrix.identity(True), lambda: IntMatrix.zeros(np.int64(1), 1)):
+        with pytest.raises(ValueError, match="^matrix dimensions must be ints >= 0"):
+            build()
     # a ragged row after many good ones
     ragged = [list(row) for row in rows]
     ragged[39] = ragged[39][:39]

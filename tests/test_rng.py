@@ -1,5 +1,6 @@
 """The stream contract: `stream(seed, index)` is the Philox stream keyed by
-`mix64(seed, index)`, built without OS entropy, and it pickles and copies."""
+`mix64(seed, index)`, built without OS entropy, and it pickles and copies.
+Every seeded entry point keys its streams by integers alone."""
 
 import copy
 import os
@@ -9,7 +10,11 @@ import random
 import numpy as np
 import pytest
 
-from cstarlab.rng import mix64, stream
+from cstarlab.rng import NotAnIntegerError, mix64, stream
+from cstarlab.sampler import estimate_prob_jiang_su, sample_algebra
+from cstarlab.simplex import MeasureScheme, build_tower
+from cstarlab.transport import unitary_distance
+from cstarlab.walk import Barrier, WalkParams, batch_hits_zero, batch_sup, sample_trajectory
 
 SEEDS = [0, 2**64 - 1, 2**64 + 3, -3]
 INDICES = [0, 1, 10**6]
@@ -90,3 +95,49 @@ def test_spawn_refused():
         stream(1, 2).spawn(2)
     with pytest.raises(TypeError):
         stream(1, 2).bit_generator.spawn(2)
+
+
+WALK = WalkParams.point(0.5, start=2)
+ABSORBING = WalkParams.point(0.5, start=2, barrier=Barrier.ABSORBING)
+FACES = MeasureScheme.LEBESGUE_FACES
+
+#: every seeded entry point as a function of its seed (or trial index); the
+#: Hermitian pair's orbit distance is its closed form, so it never descends
+SEEDED = {
+    "mix64": lambda s: mix64(s),
+    "mix64_index": lambda s: mix64(3, s),
+    "stream": lambda s: stream(s).random(4),
+    "stream_index": lambda s: stream(3, s).random(4),
+    "sample_trajectory": lambda s: sample_trajectory(WALK, 30, s),
+    "sample_trajectory_trial": lambda s: sample_trajectory(WALK, 30, 3, trial=s),
+    "batch_hits_zero": lambda s: batch_hits_zero(WALK, 40, 6, s),
+    "batch_sup": lambda s: batch_sup(ABSORBING, 6, s, cap=4),
+    "estimate_prob_jiang_su": lambda s: estimate_prob_jiang_su(WALK, 6, 40, s),
+    "sample_algebra": lambda s: sample_algebra(WALK, FACES, 60, s),
+    "build_tower": lambda s: build_tower([0, 1, 2, 1, 2, 3], FACES, s),
+    "unitary_distance": lambda s: unitary_distance(np.diag([0.0, 1.0]), np.diag([2.0, 4.0]),
+                                                   seed=s),
+}
+
+
+@pytest.mark.parametrize("bad", [2.9, "7", True, np.True_, None], ids=repr)
+@pytest.mark.parametrize("entry", SEEDED)
+def test_seeds_are_integers_never_truncated(entry, bad):
+    # a float, a string or a bool once keyed the stream of int(bad)
+    with pytest.raises(NotAnIntegerError, match="must be integers"):
+        SEEDED[entry](bad)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint64])
+@pytest.mark.parametrize("entry", SEEDED)
+def test_numpy_integer_seeds_draw_as_the_int(entry, kind):
+    assert pickle.dumps(SEEDED[entry](kind(5))) == pickle.dumps(SEEDED[entry](5))
+
+
+def test_tower_seed_refused_before_any_draw(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a collapse was drawn")
+
+    monkeypatch.setattr("cstarlab.simplex.draw_collapse", refuse)
+    with pytest.raises(NotAnIntegerError):
+        build_tower([0, 1, 2], FACES, 1.5)

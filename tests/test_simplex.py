@@ -84,6 +84,14 @@ class TestDrawCollapse:
             assert is_barycentric(vec)
             assert np.all(vec[expected_top + 1:] == 0.0)
 
+    @pytest.mark.parametrize("n, visit", [(2.5, 1), (4, 1.0), (True, 0), (4, np.True_),
+                                          ("4", 1)])
+    def test_faces_schedule_takes_integers_only(self, n, visit):
+        # face_top_vertex(2.5, 1) once returned 0.5
+        with pytest.raises(ValueError, match="must be integers"):
+            face_top_vertex(n, visit)
+        assert face_top_vertex(np.int64(4), np.uint8(5)) == face_top_vertex(4, 5) == 2
+
     def test_faces_full_face_mean_is_barycenter(self):
         # sorted-uniform spacings are uniform on the simplex, whose mean is
         # the barycenter by symmetry
@@ -230,6 +238,12 @@ class TestFlatTowerAgainstReference:
             with pytest.raises(ValueError, match="seed"):
                 SimplexTower((0, 1, 0), [1.0], seed=seed)
 
+    def test_constructor_refuses_coordinates_beyond_floats(self):
+        # an int past the float range once escaped as OverflowError
+        for dims, coords in [((0, 1), [10**400]), ((0, 1, 2), [1.0, 10**400, -10**400])]:
+            with pytest.raises(ValueError, match="finite floats"):
+                SimplexTower(dims, coords)
+
     def test_from_json_rejects_malformed_maps(self):
         good = tower_doc([0, 1, 2, 1], [TowerMap("collapse", (1.0,)),
                                         TowerMap("collapse", (0.5, 0.5)),
@@ -240,7 +254,8 @@ class TestFlatTowerAgainstReference:
                        (1, {"kind": "collapse", "vector": [0.7, 0.7]}),
                        (0, {"kind": "twist"}), (2, {"kind": "inclusion", "vector": []}),
                        (0, {"kind": "collapse", "vector": ["1.0"]}),
-                       (0, {"kind": "collapse", "vector": [True]})]:
+                       (0, {"kind": "collapse", "vector": [True]}),
+                       (1, {"kind": "collapse", "vector": [10**400, 0]})]:
             doc = json.loads(json.dumps(good))
             doc["maps"][i] = bad
             with pytest.raises(ValueError):
@@ -381,6 +396,17 @@ class TestPushdown:
 
 
 class TestCoveringRadius:
+    @pytest.mark.parametrize("level", [True, 1.0, 1.5, "1", None])
+    def test_levels_are_integers(self, level):
+        # covering_radius(tower, True) once read level 1
+        tower = build_tower([0, 1, 2, 1, 2], MeasureScheme.LEBESGUE_FACES, 3)
+        calls = [lambda m: covering_radius(tower, m), lambda m: top_vertex_images(tower, m),
+                 tower.truncate, lambda m: pushdown(tower, 4, np.full(3, 1 / 3), m)]
+        for call in calls:
+            with pytest.raises(ValueError, match="tower levels must be integers"):
+                call(level)
+        assert covering_radius(tower, np.int64(1)) == covering_radius(tower, 1)
+
     def test_vacuous_pushdown_set(self):
         # no levels above: the reference set is the vertex set, so the
         # farthest grid point of the segment is its midpoint at distance 1/2
