@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -50,7 +51,7 @@ import numpy as np
 from . import cuntz as cuntz_mod
 from . import ktheory as ktheory_mod
 from .rng import mix64, stream
-from .sampler import estimate_prob_jiang_su, report_record, sample_algebra
+from .sampler import estimate_prob_jiang_su, sample_algebra
 from .simplex import MeasureScheme, build_tower
 from .transport import (
     matching_distance,
@@ -236,10 +237,14 @@ def _cmd_walk(cfg: dict):
 
 def _cmd_sample(cfg: dict):
     params, cfg = _walk_params(cfg)
-    scheme, horizon, seed = _SCHEMES[cfg["scheme"]], cfg["horizon"], cfg["seed"]
+    horizon, seed = cfg["horizon"], cfg["seed"]
     result = estimate_prob_jiang_su(params, cfg["trials"], horizon, seed)
-    descriptor, diagnostics = sample_algebra(params, scheme, horizon, seed)
-    record = report_record(params, scheme, result, diagnostics)
+    descriptor, diagnostics = sample_algebra(params, _SCHEMES[cfg["scheme"]], horizon, seed)
+    # json writes the int keys of covering_radius_samples as strings
+    record = {"params": {key: cfg[key] for key in ("p", "q", "barrier", "initial")},
+              "scheme": cfg["scheme"], "horizon": result.horizon, "trials": result.trials,
+              "estimate": result.estimate, "ci": list(result.ci),
+              "diagnostics": dataclasses.asdict(diagnostics)}
     trace_space = str(descriptor.trace_space)
     if params.barrier is Barrier.REFLECTING:
         # the reflecting descriptor carries the almost-sure class

@@ -34,6 +34,8 @@ from functools import cached_property
 from itertools import compress
 from typing import Iterable, Sequence
 
+from .rng import _integer
+
 
 @dataclass(frozen=True)
 class IntMatrix:
@@ -58,10 +60,8 @@ class IntMatrix:
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]], *, cols: int | None = None) -> "IntMatrix":
         """Build from any nested iterable of integers (no bools); `cols` disambiguates empty rows."""
-        data = tuple(tuple(row) for row in rows)
-        if any(isinstance(x, bool) for row in data for x in row):
-            raise TypeError("entries must be integers, not bools")
-        data = tuple(tuple(map(operator.index, row)) for row in data)
+        data = tuple(tuple(_integer(x, "entries must be integers, not bools") for x in row)
+                     for row in rows)
         ncols = cols if cols is not None else (len(data[0]) if data else 0)
         return cls(len(data), ncols, data)
 

@@ -70,8 +70,7 @@ class TraceSpaceTag:
 
     def __post_init__(self):
         if self.kind is TraceSpaceKind.FINITE_DIM:
-            if self.points is None or self.points < 1:
-                raise InvalidParamsError("finite-dimensional tags carry points >= 1")
+            object.__setattr__(self, "points", _count("points", self.points, 1))
         elif self.points is not None:
             raise InvalidParamsError(f"{self.kind.value} does not carry a point count")
 
@@ -103,8 +102,7 @@ class AlgebraDescriptor:
     trace_space: TraceSpaceTag | None
 
     def __post_init__(self):
-        if self.unit_class < 1:
-            raise InvalidParamsError("unit class must be >= 1")
+        object.__setattr__(self, "unit_class", _count("unit_class", self.unit_class, 1))
         if (self.finiteness is Finiteness.PURELY_INFINITE) != (self.trace_space is None):
             raise InvalidParamsError("purely infinite iff no trace space")
 
@@ -151,17 +149,6 @@ class SampleDiagnostics:
     absorbed: bool | None = None
     absorption_time: int | None = None
     covering_radius_samples: dict[int, float] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "zero_visits": self.zero_visits,
-            "max_dimension": self.max_dimension,
-            "censored": self.censored,
-            "absorbed": self.absorbed,
-            "absorption_time": self.absorption_time,
-            "covering_radius_samples": {str(k): v for k, v in self.covering_radius_samples.items()},
-        }
 
 
 def _radius_samples(states: tuple[int, ...], scheme: MeasureScheme,
@@ -265,31 +252,7 @@ def estimate_prob_jiang_su(params: WalkParams, trials: int, horizon: int,
 
 def classify_k_contractible(finiteness: Finiteness, k: int) -> str:
     """Model algebra label for a K-contractible sample with unit class k."""
-    if k < 1:
-        raise InvalidParamsError("unit class must be >= 1")
+    k = _count("k", k, 1)
     if finiteness is Finiteness.PURELY_INFINITE:
         return "O_infinity" if k == 1 else f"M_{k}(O_infinity)"
     return "lim Z_{p,q}" if k == 1 else f"lim M_{k}(Z_{{p,q}})"
-
-
-def params_to_dict(params: WalkParams) -> dict:
-    return {
-        "p": params.p,
-        "q": params.q,
-        "barrier": params.barrier.value,
-        "initial": [[s, w] for s, w in params.initial],
-    }
-
-
-def report_record(params: WalkParams, scheme: MeasureScheme, result: EstimateResult,
-                  diagnostics: SampleDiagnostics | None = None) -> dict:
-    """One JSON-lines record: the estimator output plus its provenance."""
-    return {
-        "params": params_to_dict(params),
-        "scheme": scheme.value,
-        "horizon": result.horizon,
-        "trials": result.trials,
-        "estimate": result.estimate,
-        "ci": [result.ci_low, result.ci_high],
-        "diagnostics": diagnostics.to_dict() if diagnostics else None,
-    }

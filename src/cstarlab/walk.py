@@ -47,7 +47,7 @@ class UnsupportedBarrierError(ValueError):
 
 def _count(name: str, value, least: int) -> int:
     """`value` as an int >= `least`: what operator.index accepts, bools aside."""
-    if not isinstance(value, bool) and hasattr(type(value), "__index__"):
+    if not isinstance(value, (bool, np.bool_)) and hasattr(type(value), "__index__"):
         value = operator.index(value)
         if value >= least:
             return value

@@ -451,10 +451,14 @@ class TestReports:
         out = str(tmp_path / "s.jsonl")
         run(["sample", "--p", "0.4", "--scheme", "vertices", "--trials", "300",
              "--horizon", "200", "--seed", "3", "--output", out])
-        body = strip_header(out)
-        record = json.loads(body[1])
-        for key in ("params", "scheme", "horizon", "trials", "estimate", "ci", "diagnostics"):
-            assert key in record
+        config, record = map(json.loads, strip_header(out))
+        assert set(record) == {"params", "scheme", "horizon", "trials", "estimate", "ci",
+                               "diagnostics", "trace_space_class", "descriptor"}
+        assert record["scheme"] == "vertices"
+        assert record["params"] == {key: config["config"][key]
+                                    for key in ("p", "q", "barrier", "initial")}
+        assert record["params"] == {"p": 0.4, "q": 0.6, "barrier": "reflecting",
+                                    "initial": [[0, 1.0]]}
         assert record["trace_space_class"] == "jiang_su"
 
     def test_weyl_csv_columns(self, tmp_path):

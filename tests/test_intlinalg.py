@@ -328,7 +328,7 @@ def test_matrix_validation():
     m = IntMatrix.from_rows([[1, np.int64(5)]])
     assert m.entries == ((1, 5),) and type(m.entries[0][1]) is int
     # from_rows refuses bools as the constructor does, wherever they sit
-    for bad in ([[True, 2]], [[1, 2], [3, False]], [(x for x in (1, True))]):
+    for bad in ([[True, 2]], [[1, 2], [3, False]], [(x for x in (1, True))], [[1, np.True_]]):
         with pytest.raises(TypeError, match="bool"):
             IntMatrix.from_rows(bad)
     # dimensions are Python ints, as entries are

@@ -1,9 +1,12 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from cstarlab import sampler
+from cstarlab.cli import run
 from cstarlab.intlinalg import FGAbelianGroup
 from cstarlab.rng import mix64
 from cstarlab.sampler import (
@@ -15,8 +18,6 @@ from cstarlab.sampler import (
     classify_k_contractible,
     classify_trace_space,
     estimate_prob_jiang_su,
-    params_to_dict,
-    report_record,
     sample_algebra,
     wilson_interval,
 )
@@ -113,7 +114,7 @@ class TestSampleAlgebra:
         a = sample_algebra(params, MeasureScheme.LEBESGUE_FACES, 300, 11)
         b = sample_algebra(params, MeasureScheme.LEBESGUE_FACES, 300, 11)
         assert a[0] == b[0]
-        assert a[1].to_dict() == b[1].to_dict()
+        assert a[1] == b[1]
 
     def test_horizon_validated(self):
         with pytest.raises(InvalidParamsError):
@@ -270,11 +271,45 @@ class TestClassifyKContractible:
             classify_k_contractible(Finiteness.STABLY_FINITE, 0)
 
 
-def test_report_record_schema():
+def test_report_record_schema(tmp_path):
+    """The `sample` record carries the sampler's results unchanged: the
+    estimate, its interval and the diagnostics of the same configuration."""
     params = WalkParams.point(0.4)
     result = estimate_prob_jiang_su(params, 50, 50, 1)
     _, diag = sample_algebra(params, MeasureScheme.UNIFORM_VERTICES, 50, 1)
-    record = report_record(params, MeasureScheme.UNIFORM_VERTICES, result, diag)
-    assert set(record) == {"params", "scheme", "horizon", "trials", "estimate", "ci", "diagnostics"}
-    assert record["params"] == params_to_dict(params)
+    out = str(tmp_path / "s.jsonl")
+    assert run(["sample", "--p", "0.4", "--scheme", "vertices", "--trials", "50",
+                "--horizon", "50", "--seed", "1", "--output", out]) == 0
+    with open(out) as handle:
+        record = json.loads([ln for ln in handle if not ln.startswith("#")][1])
+    assert {"params", "scheme", "horizon", "trials", "estimate", "ci",
+            "diagnostics"} <= set(record)
+    assert record["params"] == {"p": params.p, "q": params.q, "barrier": "reflecting",
+                                "initial": [[0, 1.0]]}
     assert record["scheme"] == "vertices"
+    assert (record["horizon"], record["trials"]) == (result.horizon, result.trials)
+    assert record["estimate"] == result.estimate and record["ci"] == list(result.ci)
+    assert record["diagnostics"] == json.loads(json.dumps(dataclasses.asdict(diag)))
+
+
+def test_counts_follow_the_integer_rule():
+    """Point counts, unit classes and k are integers >= 1: no float, string
+    or bool (Python or numpy) is read as one, and a numpy integer is stored
+    as the Python int it equals."""
+    sf, pi = Finiteness.STABLY_FINITE, Finiteness.PURELY_INFINITE
+    builds = {
+        "points": lambda n: TraceSpaceTag.finite_dim(n),
+        "unit_class": lambda n: AlgebraDescriptor(unit_class=n, finiteness=pi, trace_space=None),
+        "k": lambda n: classify_k_contractible(sf, n),
+    }
+    for name, build in builds.items():
+        for bad in (2.5, True, np.True_, "3", None, 0):
+            with pytest.raises(InvalidParamsError, match=f"^{name} must be an integer >= 1, got"):
+                build(bad)
+    assert classify_k_contractible(pi, np.int64(3)) == "M_3(O_infinity)"
+    assert classify_k_contractible(sf, np.int64(3)) == "lim M_3(Z_{p,q})"
+    tag = TraceSpaceTag.finite_dim(np.int64(3))
+    assert type(tag.points) is int and str(tag) == "finite_dim(3)"
+    assert tag == TraceSpaceTag.finite_dim(3)
+    descriptor = AlgebraDescriptor(np.int64(3), pi, None)
+    assert type(descriptor.unit_class) is int and descriptor.k_theory[2] == 3

@@ -271,7 +271,7 @@ _ABSORBING = WalkParams.point(0.45, barrier=Barrier.ABSORBING, start=2)
         "sup_distribution", "sample_algebra", "estimate_prob_jiang_su-trials",
         "estimate_prob_jiang_su-horizon"])
 def test_counts_are_integers_at_their_bound(name, least, call):
-    for bad in (least - 1, least + 1.5, float(least + 2), True, "3", None):
+    for bad in (least - 1, least + 1.5, float(least + 2), True, np.True_, "3", None):
         with pytest.raises(InvalidParamsError, match=f"^{name} must be an integer >= {least}, got"):
             call(bad)
     # numpy integers are integers, and what they give is what the int gives
