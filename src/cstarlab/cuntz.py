@@ -20,6 +20,9 @@ Smith normal form.  `CuJiangSu` is the two-sheet monoid N_0 |_| (0, oo]
 (compact classes and soft classes with a value, built by `compact` and
 `soft`), with the standard order in which a soft element never dominates
 the compact element of the same value.
+
+A stored integer is exactly an `int`.  A rational is a Fraction as it is or
+Fraction(rng._integer(x)): floats, bools, strings and Decimals raise TypeError.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ class ExtNat:
 
     def __post_init__(self):
         if self.value is not None:
-            if not isinstance(self.value, int) or isinstance(self.value, bool) or self.value < 0:
+            if type(self.value) is not int or self.value < 0:
                 raise ValueError(f"ExtNat wants a nonnegative int or None, got {self.value!r}")
 
     @property
@@ -108,10 +111,10 @@ def as_extnat(x: Union["ExtNat", int]) -> ExtNat:
 # lower-semicontinuous step functions on [0, 1]
 # ---------------------------------------------------------------------------
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        raise TypeError("breakpoints must be exact rationals, not floats")
-    return Fraction(x)
+def _as_fraction(x, what: str) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    return Fraction(_integer(x, f"{what} must be Fractions or integers"))
 
 
 @dataclass(frozen=True)
@@ -134,7 +137,7 @@ class LscStep:
     right_value: ExtNat
 
     def __post_init__(self):
-        bps = tuple(_as_fraction(b) for b in self.breakpoints)
+        bps = tuple(_as_fraction(b, "breakpoints") for b in self.breakpoints)
         ivals = tuple(as_extnat(v) for v in self.interval_values)
         pvals = tuple(as_extnat(v) for v in self.breakpoint_values)
         left = as_extnat(self.left_value)
@@ -185,7 +188,7 @@ class LscStep:
     @classmethod
     def indicator(cls, lo, hi, value=1) -> "LscStep":
         """`value` on the open interval (lo, hi), zero elsewhere."""
-        lo, hi = _as_fraction(lo), _as_fraction(hi)
+        lo, hi = _as_fraction(lo, "points"), _as_fraction(hi, "points")
         if not (0 <= lo < hi <= 1):
             raise ValueError("need 0 <= lo < hi <= 1")
         bps = tuple(b for b in (lo, hi) if 0 < b < 1)
@@ -193,7 +196,7 @@ class LscStep:
         return cls(bps, ivals, (0,) * len(bps), 0, 0)
 
     def value_at(self, x) -> ExtNat:
-        x = _as_fraction(x)
+        x = _as_fraction(x, "points")
         if not 0 <= x <= 1:
             raise ValueError("the function lives on [0, 1]")
         if x == 0:
@@ -397,7 +400,7 @@ def dim_function(f: LscStep, measure=LEBESGUE) -> Fraction:
     total = Fraction(0)
     for pos, weight in measure:
         if f.value_at(pos).value != 0:
-            total += _as_fraction(weight)
+            total += _as_fraction(weight, "weights")
     return total
 
 
@@ -423,6 +426,9 @@ class CuJiangSu:
             if type(self.value) is not int or self.value < 0:
                 raise ValueError("compact classes carry an integer >= 0")
         elif self.kind == "soft":
+            if not isinstance(self.value, (float, Fraction)):
+                message = "soft values must be floats, Fractions or integers"
+                object.__setattr__(self, "value", _integer(self.value, message))
             if not self.value > 0:
                 raise ValueError("soft classes carry a value in (0, oo]")
         else:

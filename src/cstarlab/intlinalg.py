@@ -23,6 +23,9 @@ Only `smith_normal_form` builds the unimodular transforms, through the
 checked `IntMatrix` constructor.  `rank`, `cokernel` and `kernel_rank` read
 the diagonal alone, which each `IntMatrix` computes at most once and keeps;
 `smith_normal_form` stores its own diagonal too.
+
+A stored integer is exactly an `int` (`type(x) is int`, so no bool, float or
+numpy integer); `IntMatrix.from_rows` alone converts, through `rng._integer`.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ class IntMatrix:
             if len(row) != self.cols:
                 raise ValueError(f"expected {self.cols} columns, got {len(row)}")
             for x in row:
-                if not isinstance(x, int) or isinstance(x, bool):
+                if type(x) is not int:
                     raise TypeError(f"entries must be Python ints, got {x!r}")
 
     @classmethod
@@ -141,6 +144,8 @@ class FGAbelianGroup:
     @classmethod
     def cyclic(cls, n: int) -> "FGAbelianGroup":
         """Z/n for n >= 2, Z for n = 0, trivial group for n = 1."""
+        if type(n) is not int:
+            raise ValueError(f"cyclic orders must be ints, got {n!r}")
         if n == 0:
             return cls(1, ())
         if n == 1:
@@ -175,15 +180,15 @@ ZERO_GROUP = FGAbelianGroup.zero()
 
 
 def invariant_factors(orders: Sequence[int]) -> tuple[int, ...]:
-    """Renormalise cyclic orders (each >= 2) into a divisibility chain.
+    """Renormalise cyclic orders (ints >= 1) into a chain of factors >= 2.
 
     Pairwise, Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b): slot i takes the gcd of
     itself and every later slot, which take the matching lcms, so slot i
     ends up dividing all later ones.  No order is ever factored.
     """
-    orders = [int(d) for d in orders if d != 1]
-    if any(d < 1 for d in orders):
-        raise ValueError("cyclic orders must be positive")
+    orders = list(orders)
+    if any(type(d) is not int or d < 1 for d in orders):
+        raise ValueError(f"cyclic orders must be positive ints, got {orders}")
     for i in range(len(orders)):
         for j in range(i + 1, len(orders)):
             g = math.gcd(orders[i], orders[j])

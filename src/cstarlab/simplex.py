@@ -359,6 +359,8 @@ def pushdown(tower: SimplexTower, level_j: int, point: np.ndarray, level_m: int)
 
 def barycentric_grid(dim: int, resolution: int = 8) -> np.ndarray:
     """All barycentric vectors on Delta_dim with coordinates in multiples of 1/resolution."""
+    dim = _integer(dim, "dimensions must be integers")
+    resolution = _integer(resolution, "grid resolutions must be integers")
     if resolution < 1:
         raise ValueError(f"grid resolution must be >= 1, got {resolution}")
     count = comb(resolution + dim, dim)

@@ -42,6 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .cuntz import _as_fraction
 from .rng import _integer, stream
 
 HERMITIAN_TOL = 1e-12
@@ -618,8 +619,9 @@ def _descend(na: NormalMatrix, nb: NormalMatrix, target: float, aligned: float,
 class DiscreteMeasure:
     """Finitely supported probability measure with exactly rational weights.
 
-    Weights must be Fractions (or ints); floats are refused so that the
-    integer masses `wasserstein_inf` transports are exact.
+    A weight is a Fraction as it is or Fraction(rng._integer(w)), by
+    `cuntz._as_fraction`: floats, bools, strings and Decimals raise
+    TypeError, so the integer masses `wasserstein_inf` transports are exact.
     """
 
     atoms: tuple
@@ -629,17 +631,12 @@ class DiscreteMeasure:
     def __post_init__(self):
         if len(self.atoms) != len(self.weights) or len(self.atoms) < 1:
             raise ValueError("need one weight per atom and at least one atom")
-        cleaned = []
-        for w in self.weights:
-            if isinstance(w, float):
-                raise TypeError("weights must be exact rationals, not floats")
-            w = Fraction(w)
-            if w <= 0:
-                raise ValueError("weights must be positive")
-            cleaned.append(w)
-        if sum(cleaned) != 1:
+        weights = tuple(_as_fraction(w, "weights") for w in self.weights)
+        if any(w <= 0 for w in weights):
+            raise ValueError("weights must be positive")
+        if sum(weights) != 1:
             raise ValueError("weights must sum to exactly 1")
-        object.__setattr__(self, "weights", tuple(cleaned))
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "atoms", tuple(self.atoms))
 
     @classmethod

@@ -1,5 +1,7 @@
+import enum
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -28,9 +30,10 @@ from cstarlab.cuntz import (
     lsc_sup_chain,
     nccw_check,
 )
-from cstarlab.intlinalg import IntMatrix
+from cstarlab.intlinalg import FGAbelianGroup, IntMatrix, invariant_factors
 from cstarlab.ktheory import k_dimension_drop
 from cstarlab.rng import stream
+from cstarlab.transport import DiscreteMeasure
 
 from oracles import (
     ext_matvec_per_entry,
@@ -437,3 +440,69 @@ def test_lebesgue_marker():
     assert dim_function(LscStep.constant(1), LEBESGUE) == 1
     with pytest.raises(ValueError):
         dim_function(LscStep.constant(1), "counting")
+
+
+class _Two(enum.IntEnum):
+    TWO = 2
+
+
+#: what the exact layer refuses where it stores an integer, and where it
+#: reads a rational (a Fraction, or an integer by `rng._integer`)
+NOT_INTS = (True, np.True_, 2.5, "6", _Two.TWO)
+NOT_RATIONALS = (True, np.True_, 2.5, "1/4", Decimal("0.25"))
+HALF = Fraction(1, 2)
+
+#: entry point, the values it refuses, and the exception and message
+REFUSALS = [
+    ("IntMatrix", lambda x: IntMatrix(1, 2, ((1, x),)), NOT_INTS,
+     TypeError, "^entries must be Python ints, got "),
+    ("FGAbelianGroup", lambda x: FGAbelianGroup(x), NOT_INTS, ValueError, "^free rank"),
+    ("FGAbelianGroup torsion", lambda x: FGAbelianGroup(0, (2, x)), NOT_INTS,
+     ValueError, "^torsion orders"),
+    ("FGAbelianGroup.cyclic", FGAbelianGroup.cyclic, NOT_INTS, ValueError, "^cyclic orders"),
+    ("invariant_factors", lambda x: invariant_factors([x, 4]), NOT_INTS,
+     ValueError, "^cyclic orders"),
+    ("ExtNat", ExtNat, NOT_INTS, ValueError, "^ExtNat wants a nonnegative int or None, got "),
+    ("CuJiangSu.compact", CuJiangSu.compact, NOT_INTS, ValueError, "^compact classes"),
+    ("CuJiangSu.soft", CuJiangSu.soft, (True, np.True_, "6"), ValueError, "^soft values"),
+    ("LscStep.indicator value", lambda x: LscStep.indicator(0, 1, x), NOT_INTS,
+     ValueError, "^ExtNat wants"),
+    ("LscStep breakpoints", lambda x: LscStep((x,), (1, 1), (1,), 0, 0), NOT_RATIONALS,
+     TypeError, "^breakpoints must be Fractions or integers, got "),
+    ("LscStep.indicator", lambda x: LscStep.indicator(0, x), NOT_RATIONALS,
+     TypeError, "^points must be Fractions or integers, got "),
+    ("LscStep.value_at", LscStep.indicator(0, 1).value_at, NOT_RATIONALS,
+     TypeError, "^points must be Fractions or integers, got "),
+    ("dim_function point", lambda x: dim_function(LscStep.constant(1), [(x, 1)]), NOT_RATIONALS,
+     TypeError, "^points must be"),
+    ("dim_function weight", lambda x: dim_function(LscStep.constant(1), [(HALF, x)]),
+     NOT_RATIONALS, TypeError, "^weights must be Fractions or integers, got "),
+    ("DiscreteMeasure", lambda x: DiscreteMeasure((0, 1, 2, 3), (x,) * 4), NOT_RATIONALS,
+     TypeError, "^weights must be Fractions or integers, got "),
+]
+
+#: numpy integers are read as Python ints: entry point, input, exact result
+CONVERSIONS = [
+    ("dim_function int64 weights",
+     lambda w: dim_function(LscStep.constant(1), [(HALF, w), (Fraction(1, 3), w)]),
+     np.int64(2 ** 62), Fraction(2 ** 63)),
+    ("DiscreteMeasure int64 weight", lambda w: DiscreteMeasure((0,), (w,)).weights[0],
+     np.int64(1), Fraction(1)),
+    ("CuJiangSu.soft int64", lambda t: CuJiangSu.soft(t).value, np.int64(3), 3),
+]
+
+
+@pytest.mark.parametrize("build, value, expected", [
+    *(pytest.param(build, x, (error, match), id=f"{name}-{x!r}")
+      for name, build, values, error, match in REFUSALS for x in values),
+    *(pytest.param(build, x, expected, id=name) for name, build, x, expected in CONVERSIONS),
+])
+def test_exact_numbers_have_one_rule_each(build, value, expected):
+    if isinstance(expected, tuple):
+        error, match = expected
+        with pytest.raises(error, match=match):
+            build(value)
+        return
+    got = build(value)
+    assert got == expected and type(got) is type(expected)
+    assert type(getattr(got, "numerator", got)) is int

@@ -476,6 +476,17 @@ class TestCoveringRadius:
             with pytest.raises(ValueError, match="resolution"):
                 barycentric_grid(2, resolution)
 
+    def test_grid_reads_integers(self):
+        # bools, floats and strings are refused by the integer rule of `rng`;
+        # numpy integers give the grid of the same Python ints
+        for dim, resolution, match in ((True, 8, "^dimensions"), (2.0, 8, "^dimensions"),
+                                       (2, True, "^grid resolutions"),
+                                       (2, np.True_, "^grid resolutions"),
+                                       (2, "3", "^grid resolutions")):
+            with pytest.raises(ValueError, match=match):
+                barycentric_grid(dim, resolution)
+        assert bits(barycentric_grid(np.int64(2), np.int8(3))) == bits(barycentric_grid(2, 3))
+
 
 def test_is_barycentric_tolerance():
     assert is_barycentric(np.array([0.5, 0.5]))
