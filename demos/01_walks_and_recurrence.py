@@ -38,7 +38,7 @@ print("(for p > q this is (q/p)^i; for p <= q the chain is recurrent)")
 
 # --- the finite-horizon Monte-Carlo proxy -----------------------------------
 
-params = WalkParams.point(0.6, q=0.4, start=1)
+params = WalkParams.point(0.6, start=1)
 result = estimate_prob_jiang_su(params, trials=5000, horizon=5000, seed=11)
 oracle = hit_zero_probability(params, 1)
 print(f"\nreturn to 0 within horizon: estimate {result.estimate:.4f}, "

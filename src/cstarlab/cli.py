@@ -75,7 +75,7 @@ _ENSEMBLES = {
 #: each key's flag and every value it takes, from a flag or a config file,
 #: follow the kind
 _KEYS = {
-    **dict.fromkeys(["p", "q", "tol"], float),
+    **dict.fromkeys(["p", "tol"], float),
     **dict.fromkeys(["seed", "start"], int),
     **dict.fromkeys(["n", "max_size", "length", "trials", "horizon"], "count"),
     "output": str,
@@ -194,7 +194,7 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         given.update(file_cfg)
     given.update((key, getattr(args, key)) for key in defaults if getattr(args, key) is not None)
-    # a key whose default is None (p, q, initial) may stay unset
+    # a key whose default is None (p, initial) may stay unset
     cfg = {key: value if value is None and defaults[key] is None else _checked(key, value)
            for key, value in {**defaults, **given}.items()}
     if "start" in given and cfg.get("initial") is not None:
@@ -204,12 +204,11 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
 
 def _walk_params(cfg: dict) -> tuple[WalkParams, dict]:
     """The walk of a configuration, and the configuration with `initial`
-    and `q` resolved as the report records them."""
+    resolved and q = 1 - p added as the report records them."""
     if cfg["p"] is None:
         raise ConfigError("--p is required")
     initial = ((cfg["start"], 1.0),) if cfg["initial"] is None else cfg["initial"]
-    params = WalkParams(p=cfg["p"], q=cfg["q"], barrier=_BARRIERS[cfg["barrier"]],
-                        initial=initial)
+    params = WalkParams(p=cfg["p"], barrier=_BARRIERS[cfg["barrier"]], initial=initial)
     return params, {**cfg, "initial": [[s, w] for s, w in params.initial], "q": params.q}
 
 
@@ -309,7 +308,7 @@ def _cmd_ktheory(cfg: dict):
     return cfg, records, 0
 
 
-_WALK = {"p": None, "q": None, "barrier": "reflecting", "start": 0, "initial": None}
+_WALK = {"p": None, "barrier": "reflecting", "start": 0, "initial": None}
 
 #: name -> (handler, help, default configuration, CSV columns or None for
 #: JSON-lines only); the default keys are the subcommand's config-file keys

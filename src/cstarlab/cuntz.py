@@ -21,8 +21,8 @@ Smith normal form.  `CuJiangSu` is the two-sheet monoid N_0 |_| (0, oo]
 `soft`), with the standard order in which a soft element never dominates
 the compact element of the same value.
 
-A stored integer is exactly an `int`.  A rational is a Fraction as it is or
-Fraction(rng._integer(x)): floats, bools, strings and Decimals raise TypeError.
+A stored integer is exactly an `int`, and a rational a Fraction of ints
+read by rng._integer: floats, bools, strings and Decimals raise TypeError.
 """
 
 from __future__ import annotations
@@ -112,9 +112,13 @@ def as_extnat(x: Union["ExtNat", int]) -> ExtNat:
 # ---------------------------------------------------------------------------
 
 def _as_fraction(x, what: str) -> Fraction:
-    if isinstance(x, Fraction):
+    """`x` as a Fraction of Python ints; one with numpy parts is rebuilt by `rng._integer`."""
+    if not isinstance(x, Fraction):
+        return Fraction(_integer(x, f"{what} must be Fractions or integers"))
+    if type(x.numerator) is int and type(x.denominator) is int:
         return x
-    return Fraction(_integer(x, f"{what} must be Fractions or integers"))
+    message = f"{what} must be Fractions of integers"
+    return Fraction(_integer(x.numerator, message), _integer(x.denominator, message))
 
 
 @dataclass(frozen=True)
@@ -426,7 +430,9 @@ class CuJiangSu:
             if type(self.value) is not int or self.value < 0:
                 raise ValueError("compact classes carry an integer >= 0")
         elif self.kind == "soft":
-            if not isinstance(self.value, (float, Fraction)):
+            if isinstance(self.value, Fraction):
+                object.__setattr__(self, "value", _as_fraction(self.value, "soft values"))
+            elif not isinstance(self.value, float):
                 message = "soft values must be floats, Fractions or integers"
                 object.__setattr__(self, "value", _integer(self.value, message))
             if not self.value > 0:

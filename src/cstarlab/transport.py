@@ -619,7 +619,7 @@ def _descend(na: NormalMatrix, nb: NormalMatrix, target: float, aligned: float,
 class DiscreteMeasure:
     """Finitely supported probability measure with exactly rational weights.
 
-    A weight is a Fraction as it is or Fraction(rng._integer(w)), by
+    A weight is a Fraction of Python ints or Fraction(rng._integer(w)), by
     `cuntz._as_fraction`: floats, bools, strings and Decimals raise
     TypeError, so the integer masses `wasserstein_inf` transports are exact.
     """

@@ -1,7 +1,7 @@
 """Simple random walk on the half-line {0, 1, 2, ...} with a barrier at 0.
 
-Interior transitions go up with probability p and down with probability q,
-p + q = 1.  At zero the walk either reflects (the next state is forced to
+Interior transitions go up with probability p and down with probability
+q = 1 - p.  At zero the walk either reflects (the next state is forced to
 be 1) or is absorbed (it stays at 0 forever); interior transitions are the
 same in both modes.  The walk is recurrent when p <= q and transient when
 p > q.
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -54,6 +54,13 @@ def _count(name: str, value, least: int) -> int:
     raise InvalidParamsError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _real(name: str, value) -> float:
+    """`value` as a float by its `__float__`: bools, strings and bytes are refused."""
+    if isinstance(value, (bool, np.bool_, str, bytes)) or not hasattr(type(value), "__float__"):
+        raise InvalidParamsError(f"{name} must be real, got {value!r}")
+    return float(value)
+
+
 class Barrier(enum.Enum):
     REFLECTING = "reflecting"
     ABSORBING = "absorbing"
@@ -66,31 +73,29 @@ class WalkClass(enum.Enum):
 
 @dataclass(frozen=True)
 class WalkParams:
-    """Transition data (p up, q down, barrier mode) plus initial distribution.
+    """Transition data (p up, q = 1 - p down, barrier mode) plus initial distribution.
 
-    `initial` maps integer states to probabilities, as a mapping or as
-    (state, weight) pairs; it must have finite support, nonnegative weights,
-    and sum to 1 within 1e-12.  A non-integer state raises TypeError.  The
-    default starts at 0.
+    q is derived from p, never given.  `initial` maps integer states to
+    probabilities, as a mapping or as (state, weight) pairs; it must have
+    finite support, real nonnegative weights, and sum to 1 within 1e-12.  A
+    non-integer state raises TypeError.  The default starts at 0.
     """
 
     p: float
-    q: float | None = None
+    q: float = field(init=False)
     barrier: Barrier = Barrier.REFLECTING
     initial: tuple[tuple[int, float], ...] = ((0, 1.0),)
 
     def __post_init__(self):
-        q = 1.0 - self.p if self.q is None else self.q
-        object.__setattr__(self, "q", float(q))
-        object.__setattr__(self, "p", float(self.p))
-        if not (0.0 <= self.p <= 1.0) or not (0.0 <= self.q <= 1.0):
-            raise InvalidParamsError(f"step probabilities must lie in [0, 1], got p={self.p}, q={self.q}")
-        if abs(self.p + self.q - 1.0) > _PROB_TOL:
-            raise InvalidParamsError(f"p + q must equal 1, got {self.p + self.q}")
+        object.__setattr__(self, "p", _real("p", self.p))
+        object.__setattr__(self, "q", 1.0 - self.p)
+        if not 0.0 <= self.p <= 1.0:
+            raise InvalidParamsError(f"p must lie in [0, 1], got {self.p}")
         if not isinstance(self.barrier, Barrier):
             raise InvalidParamsError(f"barrier must be a Barrier, got {self.barrier!r}")
         items = self.initial.items() if isinstance(self.initial, Mapping) else self.initial
-        pairs = tuple(sorted((_integer(s, "states must be integers"), float(w)) for s, w in items))
+        pairs = tuple(sorted((_integer(s, "states must be integers"), _real("initial weights", w))
+                             for s, w in items))
         if not pairs:
             raise InvalidParamsError("initial distribution must have nonempty support")
         for state, weight in pairs:
@@ -106,8 +111,8 @@ class WalkParams:
 
     @classmethod
     def point(cls, p: float, *, barrier: Barrier = Barrier.REFLECTING,
-              start: int = 0, q: float | None = None) -> "WalkParams":
-        return cls(p=p, q=q, barrier=barrier, initial=((start, 1.0),))
+              start: int = 0) -> "WalkParams":
+        return cls(p=p, barrier=barrier, initial=((start, 1.0),))
 
 
 @dataclass(frozen=True)

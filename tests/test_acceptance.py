@@ -111,13 +111,13 @@ def test_criterion_04_wasserstein_hall_equivalence():
 def test_criterion_05_recurrence_proxy():
     with criterion(5, "return-to-zero frequencies match the hitting oracles"):
         started = time.time()
-        recurrent = estimate_prob_jiang_su(WalkParams.point(0.4, q=0.6),
+        recurrent = estimate_prob_jiang_su(WalkParams.point(0.4),
                                            trials=10_000, horizon=10_000, seed=505)
         assert recurrent.estimate >= 0.999, recurrent
 
-        transient = estimate_prob_jiang_su(WalkParams.point(0.6, q=0.4, start=1),
+        transient = estimate_prob_jiang_su(WalkParams.point(0.6, start=1),
                                            trials=10_000, horizon=10_000, seed=506)
-        oracle = hit_zero_probability(WalkParams.point(0.6, q=0.4, start=1), 1)
+        oracle = hit_zero_probability(WalkParams.point(0.6, start=1), 1)
         assert abs(oracle - 2 / 3) < 1e-9
         assert transient.ci_low <= oracle <= transient.ci_high, (transient, oracle)
         elapsed = time.time() - started

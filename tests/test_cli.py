@@ -283,7 +283,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("argv, content, error", [
         (["walk"], {"p": [0.5]}, "p must be a finite number, got [0.5]"),
         (["walk"], {"p": 0.5, "seed": None}, "seed must be a finite number, got null"),
-        (["walk"], {"p": 0.5, "q": {}}, "q must be a finite number, got {}"),
+        (["walk"], {"p": 0.5, "q": 0.5}, "unknown config keys: ['q']"),
         (["walk"], {"p": 0.5, "start": None}, "start must be a finite number, got null"),
         (["walk"], {"p": 0.5, "barrier": ["absorbing"]},
          "barrier must be one of ['absorbing', 'reflecting']"),
@@ -347,12 +347,12 @@ class TestConfigFile:
          {"p": 1, "start": 2, "length": 20, "trials": 3, "seed": 4, "format": "csv"}),
         (["walk", "--p", "0.5", "--initial", "[[0, 1], [3, 0]]", "--barrier", "absorbing"],
          {"p": 0.5, "initial": [[0, 1], [3, 0]], "barrier": "absorbing"}),
-        (["sample", "--p", "0.4", "--q", "0.6", "--barrier", "absorbing", "--start", "3",
+        (["sample", "--p", "0.4", "--barrier", "absorbing", "--start", "3",
           "--scheme", "faces", "--trials", "20", "--horizon", "30", "--seed", "2"],
-         {"p": 0.4, "q": 0.6, "barrier": "absorbing", "start": 3, "scheme": "faces",
+         {"p": 0.4, "barrier": "absorbing", "start": 3, "scheme": "faces",
           "trials": 20, "horizon": 30, "seed": 2}),
-        (["simplex", "--p", "1", "--q", "0", "--scheme", "vertices", "--horizon", "20"],
-         {"p": 1, "q": 0, "scheme": "vertices", "horizon": 20}),
+        (["simplex", "--p", "1", "--scheme", "vertices", "--horizon", "20"],
+         {"p": 1, "scheme": "vertices", "horizon": 20}),
         (["weyl", "--n", "3", "--ensemble", "unitary", "--tol", "1", "--trials", "3",
           "--seed", "1", "--format", "json"],
          {"n": 3, "ensemble": "unitary", "tol": 1, "trials": 3, "seed": 1, "format": "json"}),
@@ -377,7 +377,7 @@ class TestParserSurface:
     COMMON = [("--config", "config", None, None), ("--seed", "seed", int, None),
               ("--output", "output", None, None), ("--format", "format", None, ["json", "csv"])]
     UNSEEDED = [COMMON[0], *COMMON[2:]]
-    WALK = [("--p", "p", float, None), ("--q", "q", float, None),
+    WALK = [("--p", "p", float, None),
             ("--barrier", "barrier", None, ["absorbing", "reflecting"]),
             ("--start", "start", int, None), ("--initial", "initial", None, None)]
     SCHEME = [("--scheme", "scheme", None, ["barycenter", "faces", "vertices"])]
@@ -411,6 +411,15 @@ class TestParserSurface:
         out = tmp_path / "r.jsonl"
         assert run([command, "--seed", "1", "--output", str(out)]) == 2
         assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["walk", "sample", "simplex"])
+    def test_walk_commands_refuse_q(self, tmp_path, capsys, command):
+        # q is 1 - p, so a q flag could only relabel the walk that was drawn
+        out = tmp_path / "r.jsonl"
+        assert run([command, "--p", "0.5000000000004", "--q", "0.5000000000004",
+                    "--output", str(out)]) == 2
+        assert "--q" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -460,6 +469,15 @@ class TestReports:
         assert record["params"] == {"p": 0.4, "q": 0.6, "barrier": "reflecting",
                                     "initial": [[0, 1.0]]}
         assert record["trace_space_class"] == "jiang_su"
+
+    def test_sample_labels_the_walk_it_drew(self, tmp_path):
+        # p just above 1/2 is transient, and q = 1 - p is recorded with it
+        out = str(tmp_path / "s.jsonl")
+        assert run(["sample", "--p", "0.5000000000004", "--trials", "20", "--horizon", "20",
+                    "--output", out]) == 0
+        config, record = map(json.loads, strip_header(out))
+        assert config["config"]["q"] == record["params"]["q"] == 1 - 0.5000000000004
+        assert record["trace_space_class"] == "bauer_one_over_n"
 
     def test_weyl_csv_columns(self, tmp_path):
         out = str(tmp_path / "w.csv")

@@ -111,6 +111,18 @@ class TestLscStep:
                     ExtNat(0), ExtNat(0))
         with pytest.raises(ValueError):
             LscStep((), (ExtNat(0),), (), ExtNat(1), ExtNat(0))
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        for args, match in [(((), (1, 1), (), 0, 0), "one interval value per gap"),
+                            (((half,), (1, 1), (), 0, 0), "one point value per breakpoint"),
+                            (((1,), (1, 1), (0,), 0, 0), "strictly inside"),
+                            (((half, third), (1, 2, 1), (0, 0), 0, 0), "strictly increasing"),
+                            (((), (0,), (), 0, 1), "not lower semicontinuous at 1")]:
+            with pytest.raises(ValueError, match=match):
+                LscStep(*args)
+        with pytest.raises(ValueError, match="need 0 <= lo < hi <= 1"):
+            LscStep.indicator(half, half)
+        with pytest.raises(ValueError, match="lives on"):
+            LscStep.constant(1).value_at(2)
 
     def test_canonical_form_merges(self):
         f = LscStep((Fraction(1, 3),), (ExtNat(2), ExtNat(2)), (ExtNat(2),),
@@ -289,6 +301,15 @@ class TestNccw:
         with pytest.raises(ShapeMismatchError):
             CuNccwElement((LscStep.zero(),), (ExtNat(0), ExtNat(0)),
                           m0, IntMatrix.from_rows([[1, 1, 1]]))
+        with pytest.raises(DimensionMismatchError):
+            CuNccwElement((LscStep.zero(),), (ExtNat(0),), m0, m1)
+        with pytest.raises(ValueError, match="M0 must have nonnegative entries"):
+            CuNccwElement((LscStep.zero(),), (ExtNat(0), ExtNat(0)),
+                          IntMatrix.from_rows([[-1, 0]]), m1)
+        with pytest.raises(DimensionMismatchError):
+            ext_matvec(m0, (ExtNat(1),))
+        with pytest.raises(ShapeMismatchError, match="different pullbacks"):
+            add_elements(dimension_drop_unit(2, 3), dimension_drop_unit(3, 4))
 
 
 DIMENSION_DROP_ENTRY_POINTS = [dimension_drop_boundary_maps, dimension_drop_unit, k_dimension_drop]
@@ -489,6 +510,13 @@ CONVERSIONS = [
     ("DiscreteMeasure int64 weight", lambda w: DiscreteMeasure((0,), (w,)).weights[0],
      np.int64(1), Fraction(1)),
     ("CuJiangSu.soft int64", lambda t: CuJiangSu.soft(t).value, np.int64(3), 3),
+    # a Fraction of numpy integers once kept its int64 parts, and the sum wrapped
+    ("dim_function int64-Fraction weights",
+     lambda w: dim_function(LscStep.constant(1), [(HALF, w), (Fraction(1, 3), w)]),
+     Fraction(np.int64(2 ** 62)), Fraction(2 ** 63)),
+    ("CuJiangSu.soft int64-Fraction doubled",
+     lambda t: (CuJiangSu.soft(t) + CuJiangSu.soft(t)).value,
+     Fraction(np.int64(2 ** 62)), Fraction(2 ** 63)),
 ]
 
 

@@ -293,6 +293,11 @@ class TestFGAbelianGroup:
         torsion = cokernel(IntMatrix.from_rows(diag, cols=len(orders))).torsion
         assert invariant_factors(orders) == torsion
 
+    def test_degenerate_cyclic_orders(self):
+        # Z/0 is Z and Z/1 is the trivial group
+        assert FGAbelianGroup.cyclic(0) == Z
+        assert FGAbelianGroup.cyclic(1) == ZERO_GROUP
+
     def test_direct_sum(self):
         a = FGAbelianGroup(1, (2,))
         b = FGAbelianGroup(0, (3,))
@@ -343,3 +348,10 @@ def test_matrix_validation():
         IntMatrix(40, 40, tuple(map(tuple, ragged)))
     with pytest.raises(ValueError, match=r"^expected 40 columns, got 39$"):
         IntMatrix.from_rows(ragged)
+    # a missing row, a difference of two shapes and a non-square determinant
+    with pytest.raises(ValueError, match=r"^expected 2 rows, got 1$"):
+        IntMatrix(2, 1, ((1,),))
+    with pytest.raises(ValueError, match="^shape mismatch: 1x2 vs 2x1$"):
+        IntMatrix.from_rows([[1, 2]]) - IntMatrix.from_rows([[1], [2]])
+    with pytest.raises(ValueError, match="square"):
+        det_bareiss(IntMatrix.from_rows([[1, 2]]))

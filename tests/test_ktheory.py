@@ -57,6 +57,8 @@ class TestSolveSixTerm:
             k0_ideal=FGAbelianGroup.cyclic(2), k1_ideal=ZERO_GROUP,
             k0_quotient=ZERO_GROUP, k1_quotient=ZERO_GROUP)
         assert solve_six_term(p) is UNDETERMINED
+        # the marker is falsy and prints as its name
+        assert not UNDETERMINED and repr(UNDETERMINED) == "UNDETERMINED"
 
     def test_unknowns_must_be_one_corner(self):
         with pytest.raises(InconsistentDataError):

@@ -64,6 +64,8 @@ class TestDescriptor:
             AlgebraDescriptor(1, Finiteness.STABLY_FINITE, None)
         with pytest.raises(InvalidParamsError):
             TraceSpaceTag.finite_dim(0)
+        with pytest.raises(InvalidParamsError, match="poulsen does not carry a point count"):
+            TraceSpaceTag(TraceSpaceKind.POULSEN, 3)
 
     def test_k_theory_tuple(self):
         d = AlgebraDescriptor(1, Finiteness.STABLY_FINITE, TraceSpaceTag.jiang_su())

@@ -121,6 +121,12 @@ class TestDrawCollapse:
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
             draw_collapse(MeasureScheme.BARYCENTER_POINT_MASS, 0, 0, stream(0))
+        with pytest.raises(ValueError, match="dimension >= 1"):
+            face_top_vertex(0, 0)
+        with pytest.raises(ValueError, match="visit index must be nonnegative"):
+            face_top_vertex(2, -1)
+        with pytest.raises(ValueError, match="unknown scheme"):
+            draw_collapse("faces", 2, 0, stream(0))
 
 
 class TestBuildTower:
@@ -150,6 +156,8 @@ class TestBuildTower:
             build_tower([0, 2], MeasureScheme.UNIFORM_VERTICES, seed=0)
         with pytest.raises(InvalidTrajectoryError):
             build_tower([0, 0], MeasureScheme.UNIFORM_VERTICES, seed=0)
+        with pytest.raises(InvalidTrajectoryError, match="at least one level"):
+            build_tower([0, 1], MeasureScheme.UNIFORM_VERTICES, seed=0).truncate(-1)
 
     def test_json_roundtrip(self):
         traj = sample_trajectory(WalkParams.point(0.6), 60, 3)
@@ -270,9 +278,15 @@ class TestFlatTowerAgainstReference:
         docs += [{**good, "dims": dims} for dims in ([0, 1.9, 2, 1], [0, "1", 2, 1],
                                                      [0, True, 2, 1], [0, 1, 2, None])]
         docs += [{**good, "seed": seed} for seed in ("x", 1.5, True, [1])]
+        docs += [{**good, "maps": good["maps"][:-1]}]
         for doc in docs:
             with pytest.raises(ValueError):
                 SimplexTower.from_json(json.dumps(doc))
+        # the map constructor refuses the same shapes
+        for kind, vector in [("twist", None), ("collapse", None), ("inclusion", (1.0,)),
+                             ("collapse", (0.7, 0.7))]:
+            with pytest.raises(ValueError):
+                TowerMap(kind, vector)
         assert SimplexTower.from_json(json.dumps({**good, "seed": None})).seed is None
 
     def test_truncate_is_a_prefix(self):
@@ -393,6 +407,8 @@ class TestPushdown:
             pushdown(tower, 1, np.array([1.0, 0.0, 0.0, 0.0]), 0)
         with pytest.raises(DimensionMismatchError):
             pushdown(tower, 0, np.array([1.0]), 1)
+        with pytest.raises(DimensionMismatchError, match="not barycentric"):
+            pushdown(tower, 1, np.full(tower.dims[1] + 1, 0.7), 0)
 
 
 class TestCoveringRadius:

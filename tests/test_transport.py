@@ -39,6 +39,10 @@ class TestMatchingDistance:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatchError):
             matching_distance([1.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="n <= 8"):
+            bottleneck_brute_force(np.arange(9.0), np.arange(9.0))
+        with pytest.raises(ValueError, match="real multisets"):
+            sorted_matching_value([1j, 0.0], [0.0, 1.0])
 
     def test_threshold_equals_brute_force(self):
         rng = stream(101)
@@ -305,6 +309,8 @@ class TestNormalMatrix:
     def test_rejects_non_normal(self):
         with pytest.raises(NotNormalError):
             NormalMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="nonempty square matrix"):
+            NormalMatrix(np.zeros((2, 3)))
 
     def test_flags(self):
         rng = stream(7)
@@ -559,6 +565,8 @@ class TestDiscreteMeasure:
             DiscreteMeasure((0.0, 1.0), (Fraction(1, 2), Fraction(1, 3)))
         with pytest.raises(ValueError):
             DiscreteMeasure((0.0,), (Fraction(0),))
+        with pytest.raises(ValueError, match="one weight per atom"):
+            DiscreteMeasure((0.0,), (Fraction(1, 2), Fraction(1, 2)))
 
     def test_point_masses(self):
         assert wasserstein_inf(DiscreteMeasure.point(0.0), DiscreteMeasure.point(3 + 4j)) == 5.0

@@ -29,14 +29,20 @@ from oracles import capped_sup, check_trajectory, walk_states
 
 class TestParams:
     def test_probabilities_validated(self):
-        with pytest.raises(InvalidParamsError):
-            WalkParams(p=1.2)
-        with pytest.raises(InvalidParamsError):
-            WalkParams(p=0.5, q=0.6)
-        with pytest.raises(InvalidParamsError):
-            WalkParams(p=0.5, initial=((0, 0.5), (1, 0.4)))
-        with pytest.raises(InvalidParamsError):
-            WalkParams(p=0.5, initial=((-1, 1.0),))
+        # one broken invariant per row; p and the weights are never bools, strings or bytes
+        for kwargs in [{"p": 1.2}, {"p": math.nan}, {"p": True}, {"p": np.True_}, {"p": "0.5"},
+                       {"p": b"0.5"}, {"p": 0.5, "initial": ((0, 0.5), (1, 0.4))},
+                       {"p": 0.5, "initial": ((-1, 1.0),)},
+                       *({"p": 0.5, "initial": [(0, w)]} for w in ("1", True, np.True_, b"1")),
+                       {"p": 0.5, "barrier": "absorbing"}, {"p": 0.5, "initial": ()},
+                       {"p": 0.5, "initial": [(1, 0.5), (1, 0.5)]}]:
+            with pytest.raises(InvalidParamsError):
+                WalkParams(**kwargs)
+        # q = 1 - p is derived, never an input
+        for make, kwargs in [(WalkParams, {"p": 0.5, "q": 0.5}),
+                             (WalkParams.point, {"p": 0.6, "q": 0.4})]:
+            with pytest.raises(TypeError):
+                make(**kwargs)
 
     def test_q_defaults_to_complement(self):
         params = WalkParams(p=0.3)
@@ -102,7 +108,7 @@ class TestSampleTrajectory:
 
     def test_hit_frequency_matches_oracle(self):
         # drift keeps the horizon truncation far below the tolerance here
-        params = WalkParams.point(0.6, q=0.4, start=1)
+        params = WalkParams.point(0.6, start=1)
         trials, horizon = 3000, 3000
         hits = batch_hits_zero(params, horizon, trials, seed=21)
         freq = hits.mean()
@@ -216,16 +222,18 @@ class TestSupDistribution:
             assert sup_distribution(params, k) == Fraction(k, k + 1)
 
     def test_monotone_and_consistent_with_hit_probability(self):
-        params = WalkParams.point(0.6, q=0.4, barrier=Barrier.ABSORBING, start=1)
+        params = WalkParams.point(0.6, barrier=Barrier.ABSORBING, start=1)
         values = [sup_distribution(params, k) for k in range(0, 40)]
         assert all(b >= a for a, b in zip(values, values[1:]))
-        limit = hit_zero_probability(WalkParams.point(0.6, q=0.4, start=1), 1)
+        limit = hit_zero_probability(WalkParams.point(0.6, start=1), 1)
         assert float(values[-1]) < limit
         assert abs(float(values[-1]) - limit) < 1e-6
 
     def test_reflecting_unsupported(self):
         with pytest.raises(UnsupportedBarrierError):
             sup_distribution(WalkParams.point(0.5), 3)
+        with pytest.raises(UnsupportedBarrierError):
+            batch_sup(WalkParams.point(0.5), 10, 0, cap=3)
 
     def test_empirical_histogram(self):
         params = WalkParams.point(0.5, barrier=Barrier.ABSORBING, start=1)
@@ -248,6 +256,8 @@ def test_trajectory_validation():
         check_trajectory(Trajectory((0, 2)), Barrier.ABSORBING)
     with pytest.raises(InvalidParamsError):
         check_trajectory(Trajectory((1, 3)), Barrier.REFLECTING)
+    with pytest.raises(InvalidParamsError):
+        Trajectory((1, -1))
 
 
 _REFLECTING = WalkParams.point(0.6)
